@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt verify bench bench-diff bench-paper serve-smoke race-shard clean
+.PHONY: build test race vet fmt verify perfbench-test bench bench-diff bench-paper serve-smoke race-shard clean
 
 build:
 	$(GO) build ./...
@@ -25,8 +25,15 @@ fmt:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The end-to-end benchmark's own tests, including a smoke run of each
+# workload checked against its pinned simulated-statistics digest, so a
+# change that moves a simulated result fails here. perfbench is a separate
+# module (see perfbench/NOTES.md) that ./... from the root does not reach.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # The PR gate: everything that must be green before merging.
-verify: fmt vet build test race
+verify: fmt vet build test perfbench-test race
 
 # Refresh the hot-path benchmark snapshot (ns/op, B/op, allocs/op for the
 # BenchmarkHot* suite). bench-diff compares a fresh run against the committed

@@ -111,6 +111,9 @@ type MLP struct {
 	// scratch: acts[0] is the input copy, acts[l+1] the output of layer l.
 	acts   [][]float64
 	deltas [][]float64
+	// nz[l] lists, ascending, the indices of acts[l]'s nonzero entries as
+	// of the last Forward (cap layer l's In); backpropFromActs reuses it.
+	nz [][]int32
 	// grad is the output-gradient scratch for TrainMSE/TrainAction; it is
 	// all-zero between calls so TrainAction only touches one element.
 	grad []float64
@@ -159,11 +162,13 @@ func New(sizes []int, acts []Activation, rng *rand.Rand) *MLP {
 func (m *MLP) allocScratch() {
 	m.acts = make([][]float64, len(m.Layers)+1)
 	m.deltas = make([][]float64, len(m.Layers))
+	m.nz = make([][]int32, len(m.Layers))
 	m.acts[0] = make([]float64, m.Layers[0].In)
 	m.maxWidth = m.Layers[0].In
 	for l, layer := range m.Layers {
 		m.acts[l+1] = make([]float64, layer.Out)
 		m.deltas[l] = make([]float64, layer.Out)
+		m.nz[l] = make([]int32, 0, layer.In)
 		if layer.Out > m.maxWidth {
 			m.maxWidth = layer.Out
 		}
@@ -188,6 +193,18 @@ func (m *MLP) NumParams() int {
 
 // Forward runs inference. The returned slice is an internal buffer, valid
 // until the next Forward/training call; copy it to retain it.
+//
+// Each layer first lists its input's nonzero indices (m.nz). A layer whose
+// input is sparse — the agents' state vectors are zero outside the
+// candidates' feature blocks — then visits only those inputs; a dense one
+// walks whole rows. Either way four neurons are computed at once (see
+// forwardSparse), and each neuron still starts from its bias and adds w*x in
+// ascending input order, so the result is bit-identical to the plain dense
+// loop (and to ForwardBatch) whenever the weights are finite: a skipped
+// input is ±0, its product w*x is ±0, and adding ±0 leaves a nonzero partial
+// sum unchanged and a +0 one at +0. A partial sum is -0 only while the bias
+// is -0 and every term so far was -0; New and SGD never produce a -0 bias,
+// and Load rejects non-finite weights.
 func (m *MLP) Forward(x []float64) []float64 {
 	if len(x) != m.Layers[0].In {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.Layers[0].In))
@@ -195,17 +212,100 @@ func (m *MLP) Forward(x []float64) []float64 {
 	copy(m.acts[0], x)
 	for l, layer := range m.Layers {
 		in, out := m.acts[l], m.acts[l+1]
-		for j := 0; j < layer.Out; j++ {
-			row := layer.W[j*layer.In : (j+1)*layer.In]
-			in := in[:len(row)] // one bounds check; elides them in the loop
-			z := layer.B[j]
-			for i, w := range row {
-				z += w * in[i]
-			}
-			out[j] = layer.Act.apply(z)
+		nz := nonzeros(in, m.nz[l])
+		m.nz[l] = nz
+		if sparse(len(nz), layer.In) {
+			layer.forwardSparse(in, nz, out)
+		} else {
+			layer.forwardDense(in, out)
 		}
 	}
 	return m.acts[len(m.Layers)]
+}
+
+// nonzeros writes the ascending indices of x's nonzero entries (NaN counts
+// as nonzero) into idx, which must have capacity len(x), and returns them.
+func nonzeros(x []float64, idx []int32) []int32 {
+	idx = idx[:0]
+	for i, v := range x {
+		if v != 0 {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// sparse reports whether a layer input with nnz nonzeros out of in should be
+// visited through its index list rather than densely. The index walk pays an
+// indirect load and bounds checks per term, so it wins only when it skips
+// most of the row.
+func sparse(nnz, in int) bool { return nnz < in/2 }
+
+// forwardSparse computes out = act(W*x + b) visiting only the inputs listed
+// in nz. Four neurons are in flight at once: each loaded x[i] feeds four
+// independent accumulators, where a single neuron would be one dependent
+// add chain (latency-bound). Per neuron the order is unchanged: bias first,
+// then the listed terms in ascending input order.
+func (l *Layer) forwardSparse(x []float64, nz []int32, out []float64) {
+	in, act := l.In, l.Act
+	j := 0
+	for ; j+4 <= l.Out; j += 4 {
+		w0 := l.W[(j+0)*in : (j+1)*in]
+		w1 := l.W[(j+1)*in : (j+2)*in]
+		w2 := l.W[(j+2)*in : (j+3)*in]
+		w3 := l.W[(j+3)*in : (j+4)*in]
+		z0, z1, z2, z3 := l.B[j], l.B[j+1], l.B[j+2], l.B[j+3]
+		for _, i := range nz {
+			v := x[i]
+			z0 += w0[i] * v
+			z1 += w1[i] * v
+			z2 += w2[i] * v
+			z3 += w3[i] * v
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = act.apply(z0), act.apply(z1), act.apply(z2), act.apply(z3)
+	}
+	for ; j < l.Out; j++ { // Out mod 4 trailing neurons
+		w := l.W[j*in : (j+1)*in]
+		z := l.B[j]
+		for _, i := range nz {
+			z += w[i] * x[i]
+		}
+		out[j] = act.apply(z)
+	}
+}
+
+// forwardDense is forwardSparse walking every input: the same 4-neuron tile
+// over whole rows, whose contiguous loads need no index list and no bounds
+// checks in the loop.
+func (l *Layer) forwardDense(x, out []float64) {
+	in, act := l.In, l.Act
+	j := 0
+	for ; j+4 <= l.Out; j += 4 {
+		w0 := l.W[(j+0)*in : (j+1)*in]
+		// One bounds check each; elides them in the loop below.
+		w1 := l.W[(j+1)*in : (j+2)*in][:len(w0)]
+		w2 := l.W[(j+2)*in : (j+3)*in][:len(w0)]
+		w3 := l.W[(j+3)*in : (j+4)*in][:len(w0)]
+		x := x[:len(w0)]
+		z0, z1, z2, z3 := l.B[j], l.B[j+1], l.B[j+2], l.B[j+3]
+		for i, w := range w0 {
+			v := x[i]
+			z0 += w * v
+			z1 += w1[i] * v
+			z2 += w2[i] * v
+			z3 += w3[i] * v
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = act.apply(z0), act.apply(z1), act.apply(z2), act.apply(z3)
+	}
+	for ; j < l.Out; j++ { // Out mod 4 trailing neurons
+		w := l.W[j*in : (j+1)*in]
+		x := x[:len(w)]
+		z := l.B[j]
+		for i, wi := range w {
+			z += wi * x[i]
+		}
+		out[j] = act.apply(z)
+	}
 }
 
 // ForwardBatch runs inference on a batch of inputs and returns one Q-row per
@@ -499,9 +599,15 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 			dl[j] *= layer.Act.derivFromOutput(outs[j])
 		}
 	}
-	// Apply gradients.
+	// Apply gradients. A layer whose input Forward found sparse updates only
+	// the weights of its nonzero inputs: for a ±0 input and a finite step
+	// the skipped update row[i] -= step*in[i] subtracts ±0, which leaves a
+	// nonzero weight unchanged and a +0 one at +0, so the result is
+	// bit-identical to the dense update (New and SGD never produce a -0
+	// weight).
 	for l, layer := range m.Layers {
-		in := m.acts[l]
+		in, nz := m.acts[l], m.nz[l]
+		useNZ := sparse(len(nz), layer.In)
 		for j := 0; j < layer.Out; j++ {
 			d := m.deltas[l][j]
 			if d == 0 {
@@ -509,8 +615,15 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 			}
 			row := layer.W[j*layer.In : (j+1)*layer.In]
 			step := lr * d
-			for i := range row {
-				row[i] -= step * in[i]
+			if useNZ {
+				for _, i := range nz {
+					row[i] -= step * in[i]
+				}
+			} else {
+				in := in[:len(row)]
+				for i := range row {
+					row[i] -= step * in[i]
+				}
 			}
 			layer.B[j] -= step
 		}
@@ -652,7 +765,11 @@ func (m *MLP) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// Load reads a network previously written with Save.
+// Load reads a network previously written with Save. It rejects a network
+// it could not run as saved: a malformed shape, an unknown activation, or a
+// NaN or infinite weight or bias. Everything it allocates is bounded by the
+// size of the input: layer widths are taken from the decoded weights, never
+// from the recorded sizes alone.
 func Load(r io.Reader) (*MLP, error) {
 	var wire mlpWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -663,15 +780,36 @@ func Load(r io.Reader) (*MLP, error) {
 		return nil, fmt.Errorf("nn: load: malformed network")
 	}
 	m := &MLP{}
-	for l := 0; l < len(wire.Acts); l++ {
+	for l, act := range wire.Acts {
 		in, out := wire.Sizes[l], wire.Sizes[l+1]
-		if len(wire.W[l]) != in*out || len(wire.B[l]) != out {
+		w, b := wire.W[l], wire.B[l]
+		// len(w)/out == in rather than in*out == len(w): the product of two
+		// recorded sizes can overflow.
+		if in <= 0 || out <= 0 || len(b) != out || len(w)%out != 0 || len(w)/out != in {
 			return nil, fmt.Errorf("nn: load: layer %d shape mismatch", l)
 		}
-		m.Layers = append(m.Layers, &Layer{
-			In: in, Out: out, Act: wire.Acts[l], W: wire.W[l], B: wire.B[l],
-		})
+		if act < Identity || act > LeakyReLU {
+			return nil, fmt.Errorf("nn: load: layer %d: unknown activation %v", l, act)
+		}
+		if i := nonFinite(w); i >= 0 {
+			return nil, fmt.Errorf("nn: load: layer %d: weight %d is %v", l, i, w[i])
+		}
+		if i := nonFinite(b); i >= 0 {
+			return nil, fmt.Errorf("nn: load: layer %d: bias %d is %v", l, i, b[i])
+		}
+		m.Layers = append(m.Layers, &Layer{In: in, Out: out, Act: act, W: w, B: b})
 	}
 	m.allocScratch()
 	return m, nil
+}
+
+// nonFinite returns the index of the first NaN or infinite element of v, or
+// -1 if there is none.
+func nonFinite(v []float64) int {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -244,10 +245,91 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeWire gob-encodes a wire-format network as Save would write it,
+// without Save's guarantee that the network is well formed.
+func encodeWire(t *testing.T, w mlpWire) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// smallWire is a valid 2-3-1 network in wire format.
+func smallWire() mlpWire {
+	return mlpWire{
+		Sizes: []int{2, 3, 1},
+		Acts:  []Activation{Sigmoid, LeakyReLU},
+		W:     [][]float64{{0.1, -0.2, 0.3, -0.4, 0.5, -0.6}, {0.7, -0.8, 0.9}},
+		B:     [][]float64{{0, 0.1, -0.1}, {0.2}},
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Fatal("Load accepted garbage input")
 	}
+	if _, err := Load(bytes.NewReader(encodeWire(t, smallWire()))); err != nil {
+		t.Fatalf("Load rejected a valid network: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(w *mlpWire)
+	}{
+		{"nan weight", func(w *mlpWire) { w.W[0][4] = math.NaN() }},
+		{"+inf weight", func(w *mlpWire) { w.W[1][0] = math.Inf(1) }},
+		{"-inf bias", func(w *mlpWire) { w.B[0][2] = math.Inf(-1) }},
+		{"nan bias", func(w *mlpWire) { w.B[1][0] = math.NaN() }},
+		{"unknown activation", func(w *mlpWire) { w.Acts[1] = Activation(99) }},
+		{"negative activation", func(w *mlpWire) { w.Acts[0] = Activation(-1) }},
+		{"zero width", func(w *mlpWire) { w.Sizes = []int{0, 3, 1}; w.W[0] = nil }},
+		{"negative widths", func(w *mlpWire) { w.Sizes = []int{-2, -3, 1}; w.W[0] = w.W[0][:0]; w.B[0] = nil }},
+		// 2^62 * 4 overflows to 0, matching an empty weight slice.
+		{"overflowing widths", func(w *mlpWire) {
+			w.Sizes = []int{1 << 62, 4}
+			w.Acts = w.Acts[:1]
+			w.W = [][]float64{nil}
+			w.B = [][]float64{make([]float64, 4)}
+		}},
+		{"weights short", func(w *mlpWire) { w.W[0] = w.W[0][:5] }},
+		{"bias short", func(w *mlpWire) { w.B[0] = w.B[0][:2] }},
+		{"missing layer", func(w *mlpWire) { w.W = w.W[:1] }},
+	}
+	for _, c := range cases {
+		w := smallWire()
+		c.mutate(&w)
+		if m, err := Load(bytes.NewReader(encodeWire(t, w))); err == nil {
+			t.Errorf("%s: Load accepted %+v", c.name, m.Layers)
+		}
+	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes: it must return an error or a network
+// that runs, and never panic. The committed corpus in testdata/fuzz/FuzzLoad
+// (valid networks including the APU agent's 504-42-42 shape, truncated and
+// garbage gob, and decodable but invalid networks) runs as part of the
+// ordinary test suite; `go test -fuzz FuzzLoad ./internal/nn` explores
+// further.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		m.Forward(make([]float64, m.InputSize()))
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatalf("Save of a loaded network: %v", err)
+		}
+		again, err := Load(&out)
+		if err != nil {
+			t.Fatalf("reloading a loaded network: %v", err)
+		}
+		if again.NumParams() != m.NumParams() {
+			t.Fatalf("reload changed the parameter count: %d, want %d", again.NumParams(), m.NumParams())
+		}
+	})
 }
 
 func TestWeightIntrospection(t *testing.T) {
