@@ -47,11 +47,11 @@ bench-diff:
 	$(GO) run ./cmd/bench -diff BENCH_9.json
 
 # Race-check the sharded stepping engine specifically: the shard-invariance
-# and active-set-invariance suites in internal/noc and internal/fault drive
-# the two-phase engine at K in {2,4,8} on mesh and torus, healthy and faulted,
-# with active-set stepping both on and off, so any cross-shard data race in
-# phase 1 or in the activity-bitmap maintenance surfaces here. Split from
-# `race` so CI can gate on it by name.
+# and active-set-invariance suites in internal/noc drive the engine at K in
+# {1,2,4,8} against the full-scan reference on mesh and torus, healthy and
+# faulted (internal/fault adds the torus fault-conservation run), so any
+# cross-shard data race in the parallel scans or in the activity-bitmap
+# maintenance surfaces here. Split from `race` so CI can gate on it by name.
 race-shard:
 	$(GO) test -race -run 'ShardInvariance|TorusConservation|TorusFaultConservation|ActiveSet' ./internal/noc/ ./internal/fault/
 

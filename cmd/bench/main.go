@@ -7,7 +7,9 @@
 //	bench -diff BENCH_5.json -threshold 30   # tolerate up to +30% ns/op drift
 //
 // In -diff mode the exit status is 1 when any benchmark regressed beyond the
-// threshold on ns/op, allocs/op, or bytes/op. Allocation counts are exact, so
+// threshold on ns/op, allocs/op, or bytes/op. A snapshot entry the -bench
+// pattern selects but the run no longer produces is listed as (removed) and
+// does not affect the exit status. Allocation counts are exact, so
 // any growth from a zero-alloc baseline fails regardless of threshold; bytes
 // get a 64-byte absolute slack so whole-object jitter on tiny baselines does
 // not flag. CI runs it as a non-gating smoke job so noisy runners flag rather
@@ -20,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -144,7 +147,11 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		if regressed := compare(base, snap, *threshold); regressed {
+		selected, err := benchSelector(*pattern)
+		if err != nil {
+			fail("%v", err)
+		}
+		if regressed := compare(os.Stdout, base, snap, *threshold, selected); regressed {
 			os.Exit(1)
 		}
 	}
@@ -194,19 +201,38 @@ func load(path string) (*Snapshot, error) {
 	return snap, nil
 }
 
-func compare(base, cur *Snapshot, threshold float64) (regressed bool) {
+// benchSelector returns whether the -bench pattern selects a snapshot entry,
+// matching its top-level regexp against the benchmark function name as go
+// test does.
+func benchSelector(pattern string) (func(name string) bool, error) {
+	top, _, _ := strings.Cut(pattern, "/")
+	re, err := regexp.Compile(top)
+	if err != nil {
+		return nil, fmt.Errorf("-bench: %v", err)
+	}
+	return func(name string) bool {
+		fn, _, _ := strings.Cut(name, "/")
+		return re.MatchString("Benchmark" + fn)
+	}, nil
+}
+
+// compare writes the diff table of cur against base to w and reports whether
+// any benchmark regressed. Base entries that selected picks but cur lacks are
+// listed as (removed).
+func compare(w io.Writer, base, cur *Snapshot, threshold float64, selected func(name string) bool) (regressed bool) {
 	byKey := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		byKey[b.Pkg+"/"+b.Name] = b
 	}
-	fmt.Printf("%-42s %12s %12s %8s %s\n", "benchmark", "base ns/op", "ns/op", "delta", "allocs")
+	fmt.Fprintf(w, "%-42s %12s %12s %8s %s\n", "benchmark", "base ns/op", "ns/op", "delta", "allocs")
 	for _, c := range cur.Benchmarks {
 		key := c.Pkg + "/" + c.Name
 		b, ok := byKey[key]
 		if !ok {
-			fmt.Printf("%-42s %12s %12.0f %8s %d (new)\n", c.Name, "-", c.NsPerOp, "-", c.AllocsPerOp)
+			fmt.Fprintf(w, "%-42s %12s %12.0f %8s %d (new)\n", c.Name, "-", c.NsPerOp, "-", c.AllocsPerOp)
 			continue
 		}
+		delete(byKey, key)
 		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
 		flag := ""
 		if delta > threshold {
@@ -237,11 +263,16 @@ func compare(base, cur *Snapshot, threshold float64) (regressed bool) {
 			flag = "  << BYTES REGRESSION"
 			regressed = true
 		}
-		fmt.Printf("%-42s %12.0f %12.0f %+7.1f%% %s%s%s\n",
+		fmt.Fprintf(w, "%-42s %12.0f %12.0f %+7.1f%% %s%s%s\n",
 			c.Name, b.NsPerOp, c.NsPerOp, delta, allocs, renderMetrics(c.Metrics), flag)
 	}
+	for _, b := range base.Benchmarks {
+		if _, gone := byKey[b.Pkg+"/"+b.Name]; gone && selected(b.Name) {
+			fmt.Fprintf(w, "%-42s %12.0f %12s %8s - (removed)\n", b.Name, b.NsPerOp, "-", "-")
+		}
+	}
 	if regressed {
-		fmt.Printf("\nregressions beyond +%.0f%% detected (ns/op, allocs/op, or bytes/op)\n", threshold)
+		fmt.Fprintf(w, "\nregressions beyond +%.0f%% detected (ns/op, allocs/op, or bytes/op)\n", threshold)
 	}
 	return regressed
 }

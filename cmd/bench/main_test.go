@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 // TestParseBenchLine pins the pairwise tokenizer, in particular the case the
 // old positional regexp got wrong: a custom b.ReportMetric unit between ns/op
@@ -40,5 +44,35 @@ func TestParseBenchLine(t *testing.T) {
 				t.Errorf("parseBenchLine(%q) metric %q = %v, want %v", tc.line, unit, got.Metrics[unit], v)
 			}
 		}
+	}
+}
+
+// TestCompareListsRemoved pins the -diff table for a snapshot entry the
+// current run lacks: it gets a (removed) row when the -bench pattern selects
+// it, no row otherwise, and never changes the exit status.
+func TestCompareListsRemoved(t *testing.T) {
+	pkg := "mlnoc/internal/noc"
+	base := &Snapshot{Benchmarks: []Benchmark{
+		{Pkg: pkg, Name: "HotNetworkStep", NsPerOp: 100},
+		{Pkg: pkg, Name: "HotLargeMeshStepSparse32x32FullScan", NsPerOp: 900},
+		{Pkg: pkg, Name: "JobHash", NsPerOp: 50},
+	}}
+	cur := &Snapshot{Benchmarks: []Benchmark{{Pkg: pkg, Name: "HotNetworkStep", NsPerOp: 101}}}
+	selected, err := benchSelector("Hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if compare(&out, base, cur, 25, selected) {
+		t.Fatalf("a removed benchmark counted as a regression:\n%s", out.String())
+	}
+	var removed []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasSuffix(line, "(removed)") {
+			removed = append(removed, strings.Fields(line)[0])
+		}
+	}
+	if len(removed) != 1 || removed[0] != "HotLargeMeshStepSparse32x32FullScan" {
+		t.Fatalf("removed rows = %v, want [HotLargeMeshStepSparse32x32FullScan]:\n%s", removed, out.String())
 	}
 }

@@ -29,7 +29,7 @@ func main() {
 	size := flag.Int("size", 8, "mesh edge size (routers per side)")
 	topology := flag.String("topology", "mesh", "topology: mesh (open) or torus (wraparound rings)")
 	shards := flag.Int("shards", 1,
-		"router shards stepped in parallel (bit-identical to sequential; >1 needs a shard-safe routing)")
+		"router shards stepped in parallel (bit-identical to sequential)")
 	rate := flag.Float64("rate", 0.13, "injection rate (messages/node/cycle)")
 	policy := flag.String("policy", "global-age",
 		"arbitration policy: random, round-robin, islip, fifo, probdist, global-age, rl-inspired")
@@ -37,7 +37,7 @@ func main() {
 		"traffic pattern: uniform, transpose, bitcomp, hotspot, tornado")
 	cycles := flag.Int64("cycles", 10000, "measured cycles")
 	warmup := flag.Int64("warmup", 2000, "warmup cycles (stats discarded)")
-	vcs := flag.Int("vcs", 3, "virtual channels per port")
+	vcs := flag.Int("vcs", 3, fmt.Sprintf("virtual channels per port (1..%d)", noc.MaxVCs))
 	bufcap := flag.Int("bufcap", 8, "buffer capacity per VC (messages)")
 	seed := flag.Int64("seed", 1, "random seed")
 	nnPath := flag.String("nn", "", "run a saved agent network (gob) as the policy")
@@ -78,6 +78,7 @@ func main() {
 	check.NonNegative("-cycles", *cycles)
 	check.NonNegative("-warmup", *warmup)
 	check.Positive("-vcs", int64(*vcs))
+	check.AtMost("-vcs", int64(*vcs), noc.MaxVCs)
 	check.Positive("-bufcap", int64(*bufcap))
 	check.NonNegative("-watchdog", *watchdog)
 	check.Unit("-faults", *faults)

@@ -355,11 +355,6 @@ func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	return noc.PortID(p)
 }
 
-// ShardSafe implements noc.ShardSafeRouting. Route reads only tables that
-// rebuild on fault events (never during arbitration) and writes only the
-// queried message's RouteBits, so the parallel phase-1 scan may call it.
-func (t *TableRouting) ShardSafe() bool { return true }
-
 // WestFirstRouting is the west-first turn model with minimal adaptivity: all
 // westward hops happen first (no turning into west later), and eastbound
 // traffic may detour minimally north or south around a dead east link. It
@@ -427,7 +422,3 @@ func (w *WestFirstRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	}
 	return dst.Port
 }
-
-// ShardSafe implements noc.ShardSafeRouting: west-first consults only live
-// link state and never writes outside the queried message.
-func (w *WestFirstRouting) ShardSafe() bool { return true }

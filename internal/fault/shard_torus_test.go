@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 
 	"mlnoc/internal/arb"
@@ -15,41 +16,71 @@ func torus(w, h, vcs int) (*noc.Network, []*noc.Node) {
 	return net, cores
 }
 
+// forkMinActive mirrors the sharded engine's default per-shard activity
+// threshold (noc.defaultShardMinActive): a cycle forks its parallel scans only
+// when at least forkMinActive*K routers are active.
+const forkMinActive = 64
+
 // TestShardInvarianceDegraded pins the sharded engine against the sequential
 // one on a faulted run that goes through the full fault-aware stack: table
 // routing degrades to up*/down* after mid-run link kills, messages carry
-// RouteBits phase state, outages repair, and a router freezes — on both a
-// mesh and a torus. TableRouting declares itself shard-safe; any divergence
-// between phase-1 route calls and the sequential probe order shows up as a
-// delivery-trace mismatch.
+// RouteBits phase state, an outage repairs, and a router freezes — on both a
+// mesh and a torus. The networks are large and loaded enough that the
+// parallel scans fork at the default threshold; any divergence between the
+// parallel scans' Route calls and the sequential ones shows up as a
+// delivery-trace or stats mismatch.
 func TestShardInvarianceDegraded(t *testing.T) {
 	topologies := map[string]func() (*noc.Network, []*noc.Node){
-		"mesh":  func() (*noc.Network, []*noc.Node) { return mesh(4, 4, 2) },
-		"torus": func() (*noc.Network, []*noc.Node) { return torus(4, 4, 2) },
+		"mesh":  func() (*noc.Network, []*noc.Node) { return mesh(24, 24, 2) },
+		"torus": func() (*noc.Network, []*noc.Node) { return torus(24, 24, 2) },
 	}
 	for tname, build := range topologies {
 		t.Run(tname, func(t *testing.T) {
-			run := func(shards int) (*noc.Network, []string, Stats) {
+			// run returns the network, its delivery trace, its fault stats
+			// and the number of cycles whose arbitration had enough active
+			// routers to fork K parallel scans. Only deliveries and
+			// injections run between the end of one Step and the next
+			// arbitration, and both only add messages, so ActiveRouters()
+			// after a Step is a lower bound on the next cycle's count.
+			run := func(shards int) (*noc.Network, []string, Stats, int) {
 				net, cores := build()
 				var plan Plan
-				plan.KillLink(net.RouterAt(1, 1).ID(), noc.PortEast, 100)
-				plan.KillLink(net.RouterAt(2, 2).ID(), noc.PortSouth, 100)
-				plan.Outage(net.RouterAt(0, 1).ID(), noc.PortEast, 150, 400)
-				plan.FreezeRouter(net.RouterAt(3, 0).ID(), 200, 350)
+				plan.KillLink(net.RouterAt(5, 5).ID(), noc.PortEast, 100)
+				plan.KillLink(net.RouterAt(10, 10).ID(), noc.PortSouth, 100)
+				plan.Outage(net.RouterAt(3, 8).ID(), noc.PortEast, 150, 400)
+				plan.FreezeRouter(net.RouterAt(12, 2).ID(), 200, 350)
 				inj, err := (Spec{Plan: plan}).Equip(net)
 				if err != nil {
 					t.Fatalf("Equip: %v", err)
 				}
 				net.SetShards(shards)
-				// Zero the activity threshold so the two-phase fork runs
-				// every cycle even at this test's light load.
-				net.SetShardMinActive(0)
 				defer net.SetShards(1)
 				trace := traceDeliveries(cores)
-				drive(net, cores, 31, 800)
-				return net, *trace, inj.Stats()
+				rng := rand.New(rand.NewSource(31))
+				id, forkable := uint64(0), 0
+				step := func() {
+					net.Step()
+					if net.ActiveRouters() >= forkMinActive*shards {
+						forkable++
+					}
+				}
+				for i := 0; i < 450; i++ {
+					for j := 0; j < 24; j++ {
+						src, dst := cores[rng.Intn(len(cores))], cores[rng.Intn(len(cores))]
+						if src != dst {
+							id++
+							src.Inject(&noc.Message{ID: id, Dst: dst.ID,
+								Class: noc.Class(rng.Intn(2)), SizeFlits: 1 + rng.Intn(4)})
+						}
+					}
+					step()
+				}
+				for i := 0; i < 100_000 && !net.Quiescent(); i++ {
+					step()
+				}
+				return net, *trace, inj.Stats(), forkable
 			}
-			baseNet, baseTrace, baseStats := run(1)
+			baseNet, baseTrace, baseStats, _ := run(1)
 			if baseStats.Reroutes == 0 || baseStats.Requeued == 0 {
 				t.Fatalf("fault scenario is vacuous: %+v", baseStats)
 			}
@@ -57,7 +88,10 @@ func TestShardInvarianceDegraded(t *testing.T) {
 				t.Fatal("no deliveries recorded")
 			}
 			for _, k := range []int{2, 4} {
-				net, trace, stats := run(k)
+				net, trace, stats, forkable := run(k)
+				if forkable == 0 {
+					t.Fatalf("K=%d never reached %d active routers; the parallel scans never forked", k, forkMinActive*k)
+				}
 				if len(trace) != len(baseTrace) {
 					t.Fatalf("K=%d delivery counts diverge: %d vs %d", k, len(trace), len(baseTrace))
 				}
@@ -69,8 +103,8 @@ func TestShardInvarianceDegraded(t *testing.T) {
 				if stats != baseStats {
 					t.Fatalf("K=%d fault stats diverge: %+v vs %+v", k, stats, baseStats)
 				}
-				if net.Stats().Injected != baseNet.Stats().Injected ||
-					net.Stats().Latency.Mean() != baseNet.Stats().Latency.Mean() {
+				if s, bs := net.Stats(), baseNet.Stats(); s.Injected != bs.Injected ||
+					s.Delivered != bs.Delivered || s.Latency != bs.Latency || s.NetLatency != bs.NetLatency {
 					t.Fatalf("K=%d network stats diverge", k)
 				}
 			}

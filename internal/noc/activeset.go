@@ -1,15 +1,11 @@
 package noc
 
-import "math/bits"
-
 // Active-set stepping.
 //
-// A large, lightly loaded topology spends almost all of its per-cycle budget
-// visiting routers and nodes that have nothing to do: inject() walks every
-// node, arbitrate() walks every router, and on faulty networks
-// evictUnreachable probes every router's buffer heads — all O(topology) per
-// cycle even when the in-flight population touches a handful of routers. The
-// active-set engine makes those walks O(active):
+// A large, lightly loaded topology would spend almost all of its per-cycle
+// budget visiting routers and nodes that have nothing to do. The engine keeps
+// three bitmaps so that inject, arbitrate and the unreachable-eviction probe
+// cost O(active) per cycle rather than O(topology):
 //
 //   - actR is a router-activity bitmap: bit r is set iff router r has at
 //     least one buffered message (occ != 0). It is maintained on the exact
@@ -24,18 +20,15 @@ import "math/bits"
 //     unreachable verdicts: a fault or routing transition sets every bit, and
 //     any head change (push into an empty buffer, pop exposing a successor,
 //     wholesale queue rewrites through syncOcc) sets the owning router's bit.
-//     For routings whose verdicts are a pure function of (router, message,
-//     fault state) — the ShardSafeRouting contract — a clear bit proves no
-//     head of that router can carry an unreachable verdict, so the per-cycle
-//     evictUnreachable sweep shrinks to the routers actually touched by a
-//     transition.
+//     Because a Routing's verdict is a pure function of (router, message,
+//     fault state), a clear bit proves no head of that router can carry an
+//     unreachable verdict, so a router with no free output is only probed
+//     after a transition touched it. Without an installed Routing the bit is
+//     never consulted: built-in X-Y routing has no unreachable verdict.
 //
 // All three bitmaps are scanned with bits.TrailingZeros64, so visit order is
-// ascending router/node ID — identical to the full scans they replace — and
-// every engine (sequential, fused, matched, sharded two-phase) stays
-// bit-identical for every policy, matcher, topology, fault schedule and shard
-// count. SetActiveStepping(false) forces the original full scans for A/B
-// benchmarking and for the equivalence suites that pin that contract.
+// ascending router/node ID, and results are identical to a full scan of every
+// router and node (pinned against the test-only reference engine refStep).
 //
 // During arbitration no activity bit is ever set (deliveries land on future
 // cycles; grants and evictions pop only from the arbitrated router's own
@@ -44,49 +37,16 @@ import "math/bits"
 // inject messages from inside ObserveInject (Sink and OnCycle remain the
 // supported injection points) — see Observer.
 
-// DefaultShardMinActive is the default per-shard activity threshold of the
-// sharded stepping engine: the phase-1 fork/join only engages when at least
-// this many routers per shard are active. Below it the two-phase barrier
-// costs more than it parallelizes and the cycle falls through to the
-// sequential active-set path (bit-identical either way).
-const DefaultShardMinActive = 64
-
-// SetActiveStepping enables (the default) or disables active-set stepping.
-// With it disabled the engine runs the original full scans — every node in
-// inject, every router in arbitrate, every non-frozen router in the faulty
-// eviction sweep. Both modes are bit-identical for every seeded run; the
-// switch exists so benchmarks and equivalence tests can measure one against
-// the other. It may be flipped between cycles at any time: the activity
-// bitmaps are maintained unconditionally, so no rebuild is needed.
-func (n *Network) SetActiveStepping(on bool) { n.fullScan = !on }
-
-// ActiveStepping reports whether arbitration runs on the active-set path:
-// enabled (see SetActiveStepping) and occupancy tracking available
-// (MaxPorts*VCs <= 64). The inject stage needs only the node bitmap and
-// follows the enable flag alone.
-func (n *Network) ActiveStepping() bool { return n.activeOK() }
+// defaultShardMinActive is the default per-shard activity threshold of the
+// sharded engine: the parallel scans only fork when at least this many
+// routers per shard are active. Below it the fork/join barrier costs more
+// than it parallelizes and the cycle steps sequentially (bit-identical
+// either way).
+const defaultShardMinActive = 64
 
 // ActiveRouters returns the number of routers currently holding at least one
-// buffered message — the size of the set arbitration visits. Meaningful only
-// while occupancy tracking is on (it reads the incrementally maintained
-// activity count).
+// buffered message — the size of the set arbitration visits.
 func (n *Network) ActiveRouters() int { return n.actRCount }
-
-// SetShardMinActive sets the per-shard activity threshold for the sharded
-// stepping engine (see DefaultShardMinActive): a cycle forks its phase-1
-// workers only when ActiveRouters() >= perShard * Shards(). Zero makes every
-// sharded cycle fork, as the pre-threshold engine did; the choice is
-// invisible to results, only to wall-clock.
-func (n *Network) SetShardMinActive(perShard int) {
-	if perShard < 0 {
-		perShard = 0
-	}
-	n.shardMinActive = perShard
-}
-
-// activeOK reports whether arbitrate may iterate the router-activity bitmap
-// instead of the full router slice.
-func (n *Network) activeOK() bool { return n.occTrack && !n.fullScan }
 
 // activateRouter and deactivateRouter maintain the router-activity bitmap and
 // its population count. They are called exactly on the 0<->nonzero
@@ -112,145 +72,6 @@ func (n *Network) markEvictDirty(r *Router) {
 func (n *Network) markAllEvictDirty() {
 	for i := range n.evictDirty {
 		n.evictDirty[i] = ^uint64(0)
-	}
-}
-
-// Eviction modes of the active-set path, derived from the installed routing
-// by refreshEvictMode. The full-scan reference path ignores them and probes
-// every non-frozen router every faulty cycle, which is behaviourally
-// identical (see maybeEvict).
-const (
-	// evictSkip: no Routing installed. Built-in X-Y routing never returns
-	// RouteUnreachable, so the eviction sweep cannot pop anything and its
-	// probes (pure XYPort calls) have no side effects: skip it wholesale.
-	evictSkip uint8 = iota
-	// evictLazy: a ShardSafeRouting is installed. Its verdicts depend only on
-	// (router, message, fault state) and its message writes are idempotent,
-	// so heads need re-probing only after a transition or head change —
-	// exactly what evictDirty tracks.
-	evictLazy
-	// evictFull: an opaque Routing is installed. No contract to lean on;
-	// probe every active router every faulty cycle, as the sequential engine
-	// always did. (Routers with no buffered message are still skipped: with
-	// no heads there is nothing to probe, side effects included.)
-	evictFull
-)
-
-// refreshEvictMode recomputes the eviction mode after SetRouting.
-func (n *Network) refreshEvictMode() {
-	switch rt := n.routing.(type) {
-	case nil:
-		n.evictMode = evictSkip
-	case ShardSafeRouting:
-		if rt.ShardSafe() {
-			n.evictMode = evictLazy
-		} else {
-			n.evictMode = evictFull
-		}
-	default:
-		n.evictMode = evictFull
-	}
-}
-
-// maybeEvict is the active-set counterpart of the unconditional
-// evictUnreachable call in the full-scan arbitration loop. The caller has
-// already established n.faulty and !r.frozen.
-func (n *Network) maybeEvict(r *Router) {
-	switch n.evictMode {
-	case evictSkip:
-	case evictLazy:
-		if n.evictDirty[r.actWord]&r.actMask != 0 {
-			n.evictUnreachable(r)
-			n.evictDirty[r.actWord] &^= r.actMask
-		}
-	default:
-		n.evictUnreachable(r)
-	}
-}
-
-// arbitrateRouterRouted arbitrates one active router under a ShardSafeRouting
-// with exactly one Route call per buffered head per cycle. The legacy path
-// probes each head once per candidate output (up to five Route calls) plus
-// once more in the eviction sweep; for table-driven fault routings that probe
-// traffic dominates the whole cycle. The ShardSafe contract makes collapsing
-// it sound: verdicts are a pure function of (router, message, fault state) and
-// message writes are idempotent, so one call yields the same verdict and the
-// same RouteBits state as six. The sharded phase-1 scan already leans on
-// exactly this property.
-//
-// On faulty networks the unreachable eviction is folded into the same probe
-// loop: heads are visited in ascending (port, VC) order — the order
-// evictUnreachable walks — popping until each buffer's head is reachable, with
-// the same counting and reporting sequence. Every head gets probed, which is a
-// superset of what the evictDirty check demands, so the dirty bit is retired
-// before granting (grant pops below re-arm it for exposed successors).
-func (n *Network) arbitrateRouterRouted(ctx *ArbContext, r *Router) {
-	vcs := n.cfg.VCs
-	evict := n.faulty
-	var routes [64]PortID
-	for mask := r.occ; mask != 0; mask &= mask - 1 {
-		bit := bits.TrailingZeros64(mask)
-		buf := r.in[PortID(bit/vcs)][bit%vcs]
-		for {
-			m := buf.Head()
-			if m == nil {
-				break
-			}
-			out := r.Route(m)
-			if out != RouteUnreachable {
-				routes[bit] = out
-				break
-			}
-			if !evict {
-				// The full-scan reference only evicts on faulty networks; an
-				// unreachable verdict without a fault just never matches an
-				// output below, exactly as the legacy gather treats it.
-				routes[bit] = RouteUnreachable
-				break
-			}
-			buf.pop()
-			n.fstats.Unreachable++
-			n.inflightCount--
-			n.inflightBase -= m.InjectCycle
-			n.inflightBySrc[m.Src]--
-			if n.onUnreachable != nil {
-				n.onUnreachable(n.cycle, r, m)
-			}
-			if len(n.faultObs) > 0 {
-				n.observeUnreachable(r, m)
-			}
-			n.recycleMessage(m)
-		}
-	}
-	if evict {
-		n.evictDirty[r.actWord] &^= r.actMask
-	}
-	for out := PortID(0); out < MaxPorts; out++ {
-		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
-			continue
-		}
-		cands := n.candScratch[:0]
-		for mask := r.occ; mask != 0; mask &= mask - 1 {
-			bit := bits.TrailingZeros64(mask)
-			p := PortID(bit / vcs)
-			if r.inGrantedAt[p] == n.cycle || routes[bit] != out {
-				continue
-			}
-			vc := bit - int(p)*vcs
-			m := r.in[p][vc].q[0]
-			if next := r.peerRouter[out]; next != nil {
-				if !next.in[out.Opposite()][vc].Free() {
-					continue
-				}
-			}
-			cands = append(cands, Candidate{Port: p, VC: vc, Msg: m})
-		}
-		n.candScratch = cands
-		if len(cands) == 0 {
-			continue
-		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
 	}
 }
 

@@ -7,15 +7,13 @@ import (
 	"testing"
 )
 
-// attachRouting is a shard-safe X-Y routing that declares a destination
-// unreachable while its attach link is down — verdicts are a pure function of
-// (message destination, live link state), so it is legal for the lazy
-// eviction mode and lets fault schedules create and repair unreachable heads
-// mid-run.
+// attachRouting is an X-Y routing that declares a destination unreachable
+// while its attach link is down — verdicts are a pure function of (message
+// destination, live link state), as the Routing contract requires, and fault
+// schedules can create and repair unreachable heads mid-run.
 type attachRouting struct{}
 
-func (attachRouting) Name() string    { return "attach-xy" }
-func (attachRouting) ShardSafe() bool { return true }
+func (attachRouting) Name() string { return "attach-xy" }
 func (attachRouting) Route(r *Router, m *Message) PortID {
 	dst := r.net.nodes[m.Dst]
 	if dst.Router.linkDown[dst.Port] {
@@ -24,15 +22,12 @@ func (attachRouting) Route(r *Router, m *Message) PortID {
 	return r.XYPort(m)
 }
 
-// fullScanOpt forces a network onto the full-scan reference engine.
-func fullScanOpt(net *Network) { net.SetActiveStepping(false) }
-
-// TestActiveSetInvariance pins the tentpole contract of this PR: the
-// active-set stepping engine produces delivery traces and stats bit-identical
-// to the full-scan engine, on mesh and torus, for an order-sensitive
-// per-output policy and an order-sensitive whole-router matcher, sequentially
-// and for every shard count — with the fork threshold both forced off and
-// forced unreachably high (sequential active fallback under SetShards).
+// TestActiveSetInvariance pins the active-set engine against the full-scan
+// reference: delivery traces and stats are bit-identical on mesh and torus,
+// for an order-sensitive per-output policy and an order-sensitive
+// whole-router matcher, sequentially and for every shard count — with the
+// fork threshold both forced off and forced unreachably high (sequential
+// stepping under SetShards).
 func TestActiveSetInvariance(t *testing.T) {
 	cfgs := map[string]Config{
 		"mesh8x8":  {Width: 8, Height: 8, VCs: 3, BufferCap: 2},
@@ -42,7 +37,7 @@ func TestActiveSetInvariance(t *testing.T) {
 	for cname, cfg := range cfgs {
 		for pname, pol := range policies {
 			t.Run(cname+"/"+pname, func(t *testing.T) {
-				base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, nil, fullScanOpt)
+				base, baseLog := shardRun(t, pol, cfg, refEngine, 600, nil, nil)
 				// Sequential active-set.
 				net, log := shardRun(t, pol, cfg, 1, 600, nil, nil)
 				requireIdentical(t, 1, base, baseLog, net, log)
@@ -52,9 +47,9 @@ func TestActiveSetInvariance(t *testing.T) {
 					requireIdentical(t, k, base, baseLog, net, log)
 				}
 				// Sharded config whose threshold never engages: every cycle
-				// must fall through to the sequential active-set path.
+				// must fall through to sequential stepping.
 				net, log = shardRun(t, pol, cfg, 4, 600, nil, nil,
-					func(n *Network) { n.SetShardMinActive(1 << 20) })
+					func(n *Network) { n.shardMinActive = 1 << 20 })
 				if net.shardForks != 0 {
 					t.Fatalf("fork ran %d times despite an unreachable threshold", net.shardForks)
 				}
@@ -67,7 +62,7 @@ func TestActiveSetInvariance(t *testing.T) {
 // TestActiveSetInvarianceFaulted runs the mid-run link-kill + freeze schedule
 // under built-in X-Y routing: the active-set engine must keep the faulty-mode
 // rules (frozen-router skip, eviction sweep, attach-link injection block)
-// bit-identical to the full scan, sequentially and sharded.
+// bit-identical to the full-scan reference, sequentially and sharded.
 func TestActiveSetInvarianceFaulted(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	faults := func(net *Network, cycle int) {
@@ -86,7 +81,7 @@ func TestActiveSetInvarianceFaulted(t *testing.T) {
 	}
 	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
 		t.Run(pname, func(t *testing.T) {
-			base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, faults, fullScanOpt)
+			base, baseLog := shardRun(t, pol, cfg, refEngine, 600, nil, faults)
 			if base.FaultStats().Requeued == 0 {
 				t.Fatal("fault schedule requeued nothing; scenario is vacuous")
 			}
@@ -98,29 +93,31 @@ func TestActiveSetInvarianceFaulted(t *testing.T) {
 	}
 }
 
+// attachOutage kills node 10's attach link at cycle 150 and repairs it at
+// 400: under attachRouting, in-flight traffic toward it becomes unreachable
+// and then routable again.
+func attachOutage(net *Network, cycle int) {
+	r := net.Node(10).Router
+	switch cycle {
+	case 150:
+		net.SetLinkDown(r.ID(), net.Node(10).Port, true)
+	case 400:
+		net.SetLinkDown(r.ID(), net.Node(10).Port, false)
+	}
+}
+
 // TestActiveSetInvarianceUnreachable drives a run where a fault schedule makes
 // buffered heads unreachable mid-flight (attach link killed, later repaired):
-// the lazy eviction mode must find and evict exactly the same messages as the
-// full scan's unconditional per-cycle probe, sequentially and sharded.
+// lazy eviction must find and evict exactly the same messages as the
+// reference's unconditional per-cycle probe, sequentially and sharded.
 func TestActiveSetInvarianceUnreachable(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
-	faults := func(net *Network, cycle int) {
-		// Node 10's attach port: in-flight traffic toward it becomes
-		// unreachable at 150 and routable again at 400.
-		r := net.Node(10).Router
-		switch cycle {
-		case 150:
-			net.SetLinkDown(r.ID(), net.Node(10).Port, true)
-		case 400:
-			net.SetLinkDown(r.ID(), net.Node(10).Port, false)
-		}
-	}
-	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, attachRouting{}, faults, fullScanOpt)
+	base, baseLog := shardRun(t, orderPolicy{}, cfg, refEngine, 600, attachRouting{}, attachOutage)
 	if base.FaultStats().Unreachable == 0 {
 		t.Fatal("no unreachable evictions; lazy eviction path not exercised")
 	}
 	for _, k := range []int{1, 2, 4, 8} {
-		net, log := shardRun(t, orderPolicy{}, cfg, k, 600, attachRouting{}, faults)
+		net, log := shardRun(t, orderPolicy{}, cfg, k, 600, attachRouting{}, attachOutage)
 		requireIdentical(t, k, base, baseLog, net, log)
 		fs := net.FaultStats()
 		if net.Stats().Injected != net.Stats().Delivered+fs.Unreachable+net.InFlight() {
@@ -178,10 +175,10 @@ func checkBitmaps(t *testing.T, net *Network, when string) {
 	}
 }
 
-// checkDirtySuperset verifies the lazy-eviction soundness invariant under a
-// shard-safe routing: an active, unfrozen router whose evict-dirty bit is
-// clear has no buffered head with an unreachable verdict. (Probing is safe
-// here because attachRouting is pure.)
+// checkDirtySuperset verifies the lazy-eviction soundness invariant: an
+// active, unfrozen router whose evict-dirty bit is clear has no buffered head
+// with an unreachable verdict. (Probing is safe here because attachRouting
+// is pure.)
 func checkDirtySuperset(t *testing.T, net *Network, when string) {
 	t.Helper()
 	for _, r := range net.routers {
@@ -270,7 +267,7 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 
 // TestActiveSetShardThreshold white-boxes the fork gate: below the per-shard
 // activity threshold a sharded network must step sequentially, above it the
-// two-phase fork must engage, and both regimes stay bit-identical (covered by
+// parallel scans must fork, and both regimes stay bit-identical (covered by
 // TestActiveSetInvariance; here the gate itself is probed).
 func TestActiveSetShardThreshold(t *testing.T) {
 	net, nodes := BuildMeshCores(Config{Width: 8, Height: 8, VCs: 2, BufferCap: 4})
@@ -279,7 +276,7 @@ func TestActiveSetShardThreshold(t *testing.T) {
 	defer net.SetShards(1)
 
 	// Empty network: no fork regardless of threshold.
-	net.SetShardMinActive(1)
+	net.shardMinActive = 1
 	net.Step()
 	if net.shardForks != 0 {
 		t.Fatalf("empty network forked %d times", net.shardForks)
@@ -308,39 +305,24 @@ func TestActiveSetShardThreshold(t *testing.T) {
 	}
 
 	// Threshold zero: every cycle forks.
-	net.SetShardMinActive(0)
+	net.shardMinActive = 0
 	before := net.shardForks
 	net.Step()
 	if net.shardForks != before+1 {
 		t.Fatalf("threshold 0 did not fork: %d -> %d", before, net.shardForks)
 	}
-
-	// Full-scan mode ignores the threshold entirely (reference behavior).
-	net.SetActiveStepping(true)
-	net.SetShardMinActive(1 << 20)
-	net.SetActiveStepping(false)
-	before = net.shardForks
-	net.Step()
-	if net.shardForks != before+1 {
-		t.Fatalf("full-scan sharded step did not fork: %d -> %d", before, net.shardForks)
-	}
-	net.SetActiveStepping(true)
 	net.FreezeRouter(hub.ID(), false)
 	net.Drain(4000)
 }
 
-// TestActiveSetToggleMidRun flips the engine between active-set and full-scan
-// stepping every few hundred cycles of a seeded run and requires the combined
-// trace to match a pure full-scan run — SetActiveStepping is documented as
-// safe to toggle between cycles without a rebuild.
+// TestActiveSetToggleMidRun switches one network between Step and the
+// full-scan reference every 150 cycles of a seeded run with mid-run
+// unreachable heads and requires the combined trace to match a pure
+// reference run: the activity bitmaps and evict-dirty marks stay exact under
+// any interleaving of the two engines.
 func TestActiveSetToggleMidRun(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
-	toggle := func(net *Network, cycle int) {
-		if cycle%150 == 0 {
-			net.SetActiveStepping(cycle%300 == 0)
-		}
-	}
-	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, nil, fullScanOpt)
-	net, log := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, toggle)
+	base, baseLog := shardRun(t, orderPolicy{}, cfg, refEngine, 600, attachRouting{}, attachOutage)
+	net, log := shardRun(t, orderPolicy{}, cfg, toggleEngine, 600, attachRouting{}, attachOutage)
 	requireIdentical(t, 1, base, baseLog, net, log)
 }

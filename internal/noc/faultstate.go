@@ -210,8 +210,8 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 }
 
 // evictUnreachable pops head messages whose route is an unreachable verdict
-// from every input buffer of r, counting and reporting each one. It runs
-// once per router per arbitration cycle, only on faulty networks.
+// from every input buffer of r, counting and reporting each one. The engine
+// calls it when a router's scan meets an unreachable head (see shard.go).
 func (n *Network) evictUnreachable(r *Router) {
 	for p := PortID(0); p < MaxPorts; p++ {
 		bufs := r.in[p]

@@ -1,13 +1,9 @@
 package noc
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // orderPolicy is deliberately sensitive to candidate order and count: any
-// divergence between the fused single-scan arbitration and the legacy
+// divergence between the engine's single-scan arbitration and the reference's
 // per-output gather (extra, missing or reordered candidates) changes which
 // message wins and cascades through the rest of the run.
 type orderPolicy struct{}
@@ -41,71 +37,15 @@ func (orderMatcher) Match(ctx *MatchContext, reqs []Request) []int {
 	return grants
 }
 
-// driveEquivalence runs two identically-seeded copies of the same workload,
-// one on the fused occupancy-mask arbitration path and one forced onto the
-// legacy full-scan path, and requires bit-identical delivery traces.
+// driveEquivalence runs one seeded 4x4 workload under Step's single scan per
+// router and under the reference's per-output gather, and requires
+// bit-identical delivery traces and stats.
 func driveEquivalence(t *testing.T, policy Policy) {
 	t.Helper()
-	build := func(legacy bool) (*Network, []*Node, *[]string) {
-		net, nodes := BuildMeshCores(Config{Width: 4, Height: 4, VCs: 3, BufferCap: 2})
-		if legacy {
-			net.occTrack = false // forces gatherCandidates' full scan + per-output arbitration
-		}
-		net.SetPolicy(policy)
-		log := &[]string{}
-		for _, nd := range nodes {
-			nd.Sink = func(now int64, m *Message) {
-				*log = append(*log, fmt.Sprintf("%d:%d->%d@%d", m.ID, m.Src, m.Dst, now))
-			}
-		}
-		return net, nodes, log
-	}
-	run := func(net *Network, nodes []*Node) {
-		rng := rand.New(rand.NewSource(21))
-		var id uint64
-		for cycle := 0; cycle < 600; cycle++ {
-			for i, nd := range nodes {
-				if rng.Float64() >= 0.3 {
-					continue
-				}
-				d := rng.Intn(len(nodes) - 1)
-				if d >= i {
-					d++
-				}
-				id++
-				m := net.AllocMessage()
-				m.ID = id
-				m.Dst = nodes[d].ID
-				m.Class = Class(rng.Intn(3))
-				m.SizeFlits = 1 + 4*rng.Intn(2)
-				nd.Inject(m)
-			}
-			net.Step()
-		}
-		net.Drain(4000)
-	}
-
-	fusedNet, fusedNodes, fusedLog := build(false)
-	legacyNet, legacyNodes, legacyLog := build(true)
-	run(fusedNet, fusedNodes)
-	run(legacyNet, legacyNodes)
-
-	if len(*fusedLog) == 0 {
-		t.Fatal("no deliveries recorded; workload is vacuous")
-	}
-	if len(*fusedLog) != len(*legacyLog) {
-		t.Fatalf("delivery counts diverge: fused %d, legacy %d", len(*fusedLog), len(*legacyLog))
-	}
-	for i := range *fusedLog {
-		if (*fusedLog)[i] != (*legacyLog)[i] {
-			t.Fatalf("delivery %d diverges: fused %q, legacy %q", i, (*fusedLog)[i], (*legacyLog)[i])
-		}
-	}
-	fs, ls := fusedNet.Stats(), legacyNet.Stats()
-	if fs.Latency.Mean() != ls.Latency.Mean() || fs.Injected != ls.Injected {
-		t.Fatalf("stats diverge: fused avg=%v inj=%d, legacy avg=%v inj=%d",
-			fs.Latency.Mean(), fs.Injected, ls.Latency.Mean(), ls.Injected)
-	}
+	cfg := Config{Width: 4, Height: 4, VCs: 3, BufferCap: 2}
+	base, baseLog := shardRun(t, policy, cfg, refEngine, 600, nil, nil)
+	net, log := shardRun(t, policy, cfg, 1, 600, nil, nil)
+	requireIdentical(t, 1, base, baseLog, net, log)
 }
 
 func TestFusedArbitrationMatchesLegacy(t *testing.T) {

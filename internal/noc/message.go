@@ -122,11 +122,11 @@ type Message struct {
 
 	// RouteBits is per-message scratch state owned by the active Routing
 	// implementation (e.g. the up*/down* phase bit of the fault-aware
-	// router); the engine itself never reads or writes it. A ShardSafe
-	// routing's writes to it must be idempotent per (router position,
-	// tables): the active-set engine may skip re-probing a head whose
-	// verdict is provably unchanged, so implementations cannot rely on
-	// getting a Route call every cycle to advance RouteBits.
+	// router); the engine itself never reads or writes it. A routing's
+	// writes to it must be idempotent per (router position, tables): the
+	// engine may skip re-probing a head whose verdict is provably
+	// unchanged, so implementations cannot rely on getting a Route call
+	// every cycle to advance RouteBits.
 	RouteBits uint8
 
 	// pooled marks messages obtained from Network.AllocMessage; the engine

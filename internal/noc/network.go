@@ -11,7 +11,8 @@ import (
 type Config struct {
 	// Width and Height are the mesh dimensions in routers.
 	Width, Height int
-	// VCs is the number of virtual channels (message classes) per port.
+	// VCs is the number of virtual channels (message classes) per port, at
+	// most MaxVCs.
 	VCs int
 	// BufferCap is the per-VC input buffer capacity in messages.
 	BufferCap int
@@ -24,6 +25,10 @@ type Config struct {
 	// and Height >= 3 so the two ring directions of a router are distinct.
 	Torus bool
 }
+
+// MaxVCs bounds Config.VCs: a router's occupancy mask holds one bit per
+// (port, VC) buffer in a uint64.
+const MaxVCs = 64 / MaxPorts
 
 func (c *Config) applyDefaults() {
 	if c.VCs <= 0 {
@@ -137,9 +142,8 @@ type Network struct {
 	// cycle.
 	OnCycle func(n *Network)
 
-	// scratch buffers reused across cycles
-	candScratch []Candidate
-	reqScratch  []Request
+	// reqScratch backs the matcher request list, reused across routers.
+	reqScratch []Request
 
 	// arbCtx/matchCtx are the per-cycle contexts handed to policies. They
 	// live on the Network so the interface call does not force a heap
@@ -147,26 +151,18 @@ type Network struct {
 	arbCtx   ArbContext
 	matchCtx MatchContext
 
-	// occTrack enables the per-router occupancy bitmask (requires
-	// MaxPorts*VCs <= 64); arbitration then visits only non-empty buffers.
-	occTrack bool
-
 	// Active-set stepping (see activeset.go). actR bit r is set iff router r
 	// has occ != 0; actN bit i is set iff node i has a pending injection;
 	// evictDirty bit r is set iff router r's buffer heads need re-probing for
-	// unreachable verdicts. fullScan forces the original full-scan engine
-	// (SetActiveStepping); the bitmaps stay maintained either way.
+	// unreachable verdicts.
 	actR       []uint64
 	actN       []uint64
 	evictDirty []uint64
 	actRCount  int
-	fullScan   bool
-	evictMode  uint8
 
 	// shardMinActive is the per-shard activity threshold below which a
-	// sharded cycle skips the fork/join and runs the sequential active-set
-	// path instead; shardForks counts the cycles that did fork (white-box
-	// test hook).
+	// sharded cycle skips the fork/join and steps sequentially instead;
+	// shardForks counts the cycles that did fork (white-box test hook).
 	shardMinActive int
 	shardForks     int64
 
@@ -180,21 +176,17 @@ type Network struct {
 	routeMemo   []PortID
 	routeDirect bool
 
-	// outHeads accumulates per-output candidate lists during the fused
-	// single-scan arbitration; candArena backs matcher Request slices.
-	outHeads  [MaxPorts][]Candidate
-	candArena []Candidate
-
 	// msgFree recycles delivered/evicted pooled messages (AllocMessage).
 	msgFree []*Message
 
-	// sharded two-phase stepping (see shard.go); shards <= 1 is sequential.
+	// arbitration engine (see shard.go): plan is the sequential scan's
+	// reused plan; shards > 1 scans into plans in parallel.
+	plan        routerPlan
 	shards      int
 	shardBounds []int           // router range of shard i is [bounds[i], bounds[i+1])
 	shardWake   []chan struct{} // one wake channel per worker goroutine
 	shardDone   chan struct{}   // workers signal scan completion here
-	plans       []routerPlan    // per-router phase-1 output, indexed by router ID
-	shardHeads  []shardScratch  // per-shard bucketing scratch
+	plans       []routerPlan    // per-router scan output, indexed by router ID
 }
 
 // New creates an empty W x H mesh with no nodes attached. Use AttachNode (or
@@ -207,12 +199,14 @@ func New(cfg Config) *Network {
 	if cfg.Torus && (cfg.Width < 3 || cfg.Height < 3) {
 		panic("noc: torus dimensions must be at least 3x3")
 	}
+	if cfg.VCs > MaxVCs {
+		panic(fmt.Sprintf("noc: %d VCs exceed MaxVCs (%d)", cfg.VCs, MaxVCs))
+	}
 	n := &Network{
 		cfg:            cfg,
 		wheel:          make([][]delivery, cfg.MaxFlits+2),
 		busyRelease:    make([]int, cfg.MaxFlits+2),
-		occTrack:       MaxPorts*cfg.VCs <= 64,
-		shardMinActive: DefaultShardMinActive,
+		shardMinActive: defaultShardMinActive,
 	}
 	n.routers = make([]*Router, cfg.Width*cfg.Height)
 	words := (len(n.routers) + 63) / 64
@@ -260,11 +254,8 @@ func (n *Network) allocPortBuffers(r *Router, p PortID) {
 	}
 	bufs := make([]*Buffer, n.cfg.VCs)
 	for vc := range bufs {
-		bufs[vc] = &Buffer{cap: n.cfg.BufferCap, lastArr: -1}
-		if n.occTrack {
-			bufs[vc].owner = r
-			bufs[vc].bit = uint8(int(p)*n.cfg.VCs + vc)
-		}
+		bufs[vc] = &Buffer{cap: n.cfg.BufferCap, lastArr: -1,
+			owner: r, bit: uint8(int(p)*n.cfg.VCs + vc)}
 	}
 	r.in[p] = bufs
 	r.nPorts++
@@ -321,7 +312,6 @@ func (n *Network) SetRouting(rt Routing) {
 	if rt != nil {
 		n.faulty = true
 	}
-	n.refreshEvictMode()
 	// The new routing may reach different verdicts on every buffered head.
 	n.markAllEvictDirty()
 }
@@ -588,19 +578,9 @@ func (n *Network) inject() {
 	if n.pendingInj == 0 {
 		return // no node holds a queued message; nothing can inject
 	}
-	if n.fullScan {
-		for _, node := range n.nodes {
-			if node.injectHead >= len(node.injectQ) {
-				continue
-			}
-			n.injectFrom(node)
-		}
-		return
-	}
-	// Visit only nodes with a pending injection, in ascending node ID —
-	// the same order the full scan produces. The per-word snapshot is safe:
-	// injectFrom never sets a node-activity bit (it only dequeues), so no
-	// active node can be missed mid-scan.
+	// Visit only nodes with a pending injection, in ascending node ID. The
+	// per-word snapshot is safe: injectFrom never sets a node-activity bit
+	// (it only dequeues), so no active node can be missed mid-scan.
 	for wi, word := range n.actN {
 		if word == 0 {
 			continue
@@ -646,61 +626,6 @@ func (n *Network) injectFrom(node *Node) {
 	}
 }
 
-// gatherCandidates collects the competing input buffers for output port out
-// of router r: head messages routed to out, whose input port has not already
-// forwarded a message this cycle, and whose downstream buffer (for hops) has
-// space. The result is valid until the next gather call.
-//
-// With occupancy tracking on, the walk visits only non-empty buffers by
-// iterating r.occ's set bits; bit order is (port, VC) ascending, so the
-// candidate order — and the sequence of Route calls, which fault-aware
-// Routing implementations are sensitive to — matches the full scan exactly.
-func (n *Network) gatherCandidates(r *Router, out PortID) []Candidate {
-	cands := n.candScratch[:0]
-	if n.occTrack {
-		vcs := n.cfg.VCs
-		for mask := r.occ; mask != 0; mask &= mask - 1 {
-			bit := bits.TrailingZeros64(mask)
-			p := PortID(bit / vcs)
-			if r.inGrantedAt[p] == n.cycle {
-				continue
-			}
-			vc := bit - int(p)*vcs
-			m := r.in[p][vc].q[0]
-			if r.Route(m) != out {
-				continue
-			}
-			if next := r.peerRouter[out]; next != nil {
-				if !next.in[out.Opposite()][vc].Free() {
-					continue
-				}
-			}
-			cands = append(cands, Candidate{Port: p, VC: vc, Msg: m})
-		}
-		n.candScratch = cands
-		return cands
-	}
-	for p := PortID(0); p < MaxPorts; p++ {
-		if r.in[p] == nil || r.inGrantedAt[p] == n.cycle {
-			continue
-		}
-		for vc, buf := range r.in[p] {
-			m := buf.Head()
-			if m == nil || r.Route(m) != out {
-				continue
-			}
-			if next := r.peerRouter[out]; next != nil {
-				if !next.in[out.Opposite()][vc].Free() {
-					continue
-				}
-			}
-			cands = append(cands, Candidate{Port: p, VC: vc, Msg: m})
-		}
-	}
-	n.candScratch = cands
-	return cands
-}
-
 func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	buf := r.in[c.Port][c.VC]
 	m := buf.pop()
@@ -739,106 +664,6 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	n.schedule(int64(m.SizeFlits), delivery{msg: m, node: node})
 }
 
-func (n *Network) arbitrate() {
-	active := n.activeOK()
-	if n.shards > 1 && n.shardReady() &&
-		(!active || n.actRCount >= n.shardMinActive*n.shards) {
-		n.arbitrateSharded()
-		return
-	}
-	if n.matcher != nil {
-		n.arbitrateMatched(active)
-		return
-	}
-	fast := n.fusedScanOK()
-	ctx := &n.arbCtx
-	*ctx = ArbContext{Net: n, Cycle: n.cycle}
-	if active {
-		// Visit only routers with buffered messages, ascending router ID —
-		// the order the full scan produces. Per-word snapshots are safe: no
-		// activity bit is ever set during arbitration (deliveries land on
-		// future cycles, grants and evictions only pop), and a mid-word
-		// clear can only come from the router currently being visited.
-		// Under a ShardSafe routing the routed path folds the eviction probe
-		// and the per-output route lookups into one Route call per head.
-		routed := n.evictMode == evictLazy
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				r := n.routers[base+bits.TrailingZeros64(word)]
-				if n.faulty {
-					if r.frozen {
-						continue
-					}
-					if !routed {
-						n.maybeEvict(r)
-					}
-				}
-				ctx.Router = r
-				switch {
-				case fast:
-					n.arbitrateRouterFused(ctx, r)
-				case routed:
-					n.arbitrateRouterRouted(ctx, r)
-				default:
-					n.arbitrateRouterLegacy(ctx, r)
-				}
-			}
-		}
-		return
-	}
-	// Full-scan reference path: every router, unconditional eviction sweep.
-	for _, r := range n.routers {
-		if n.faulty {
-			if r.frozen {
-				continue
-			}
-			n.evictUnreachable(r)
-		}
-		ctx.Router = r
-		if fast {
-			n.arbitrateRouterFused(ctx, r)
-			continue
-		}
-		n.arbitrateRouterLegacy(ctx, r)
-	}
-}
-
-// arbitrateRouterLegacy arbitrates r's outputs with one gather per output —
-// the reference per-router sequence the fused and sharded paths must
-// reproduce, and the path sharded phase 2 falls back to for routers whose
-// phase-1 plan was invalidated by an unreachable head.
-func (n *Network) arbitrateRouterLegacy(ctx *ArbContext, r *Router) {
-	for out := PortID(0); out < MaxPorts; out++ {
-		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
-			continue
-		}
-		cands := n.gatherCandidates(r, out)
-		if len(cands) == 0 {
-			continue
-		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
-	}
-}
-
-// fusedScanOK reports whether arbitration may use the fused single-scan path:
-// it routes through the X-Y memo with one route lookup per buffered head, so
-// it is only sound while routing is the built-in pure X-Y function (an
-// installed Routing may be stateful — the fault-aware router mutates
-// Message.RouteBits — and must see the per-output probe sequence the legacy
-// gather produces).
-func (n *Network) fusedScanOK() bool {
-	if n.routing != nil || !n.occTrack {
-		return false
-	}
-	n.ensureRouteMemo()
-	return true
-}
-
 func (n *Network) selectAndGrant(ctx *ArbContext, r *Router, out PortID, cands []Candidate) {
 	choice := 0
 	if len(cands) > 1 {
@@ -857,174 +682,14 @@ func (n *Network) selectAndGrant(ctx *ArbContext, r *Router, out PortID, cands [
 	n.applyGrant(r, out, cands[choice])
 }
 
-// scanHeads makes one pass over r's occupancy bitmask, bucketing every
-// buffered head whose (memoized X-Y) output is grantable this cycle and
-// whose downstream buffer has space into n.outHeads[out]. It returns the
-// bitmask of outputs that received at least one candidate. Head order within
-// each output is (port, VC) ascending — identical to gatherCandidates.
-func (n *Network) scanHeads(r *Router) (filled uint32) {
-	var freeOuts uint32
-	for out := PortID(0); out < MaxPorts; out++ {
-		if r.HasPort(out) && !r.linkDown[out] && !r.OutputBusy(out, n.cycle) {
-			freeOuts |= 1 << out
-		}
-	}
-	if freeOuts == 0 {
-		return 0
-	}
-	vcs := n.cfg.VCs
-	for mask := r.occ; mask != 0; mask &= mask - 1 {
-		bit := bits.TrailingZeros64(mask)
-		p := PortID(bit / vcs)
-		vc := bit - int(p)*vcs
-		m := r.in[p][vc].q[0]
-		out := n.xyRouteMemo(r, m)
-		if freeOuts&(1<<out) == 0 {
-			continue
-		}
-		if next := r.peerRouter[out]; next != nil && !next.in[out.Opposite()][vc].Free() {
-			continue
-		}
-		if filled&(1<<out) == 0 {
-			filled |= 1 << out
-			n.outHeads[out] = n.outHeads[out][:0]
-		}
-		n.outHeads[out] = append(n.outHeads[out], Candidate{Port: p, VC: vc, Msg: m})
-	}
-	return filled
-}
-
-// arbitrateRouterFused arbitrates all outputs of r from one occupancy-mask
-// scan instead of one gather per output. Grants are applied per output in
-// ascending order, filtering out candidates whose input port was granted by
-// an earlier output of the same router this cycle — the exact exclusion the
-// sequential gather applies, so policies see identical candidate lists. The
-// downstream-space check does not move: within a router's turn only its own
-// grants could change it, and each output is granted at most once.
-func (n *Network) arbitrateRouterFused(ctx *ArbContext, r *Router) {
-	if r.occ == 0 {
-		return
-	}
-	filled := n.scanHeads(r)
-	for out := PortID(0); out < MaxPorts; out++ {
-		if filled&(1<<out) == 0 {
-			continue
-		}
-		cands := n.candScratch[:0]
-		for _, c := range n.outHeads[out] {
-			if r.inGrantedAt[c.Port] == n.cycle {
-				continue
-			}
-			cands = append(cands, c)
-		}
-		n.candScratch = cands
-		if len(cands) == 0 {
-			continue
-		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
-	}
-}
-
-func (n *Network) arbitrateMatched(active bool) {
-	fast := n.fusedScanOK()
-	if cap(n.candArena) < MaxPorts*n.cfg.VCs {
-		// Each head routes to exactly one output, so a router's requests
-		// hold at most one candidate per (port, VC) buffer: the arena never
-		// regrows in the fused path and rarely overflows in the legacy one.
-		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
-	}
-	mctx := &n.matchCtx
-	*mctx = MatchContext{Net: n, Cycle: n.cycle}
-	if active {
-		// Active-set scan; see arbitrate for the snapshot-safety argument.
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				r := n.routers[base+bits.TrailingZeros64(word)]
-				if n.faulty {
-					if r.frozen {
-						continue
-					}
-					n.maybeEvict(r)
-				}
-				n.matchRouter(mctx, r, fast)
-			}
-		}
-		return
-	}
-	for _, r := range n.routers {
-		if n.faulty {
-			if r.frozen {
-				continue
-			}
-			n.evictUnreachable(r)
-		}
-		n.matchRouter(mctx, r, fast)
-	}
-}
-
-// matchRouter builds router r's per-output requests (fused single scan or
-// legacy per-output gather) and hands them to the installed matcher.
-func (n *Network) matchRouter(mctx *MatchContext, r *Router, fast bool) {
-	arena := n.candArena[:0]
-	reqs := n.reqScratch[:0]
-	if fast {
-		filled := uint32(0)
-		if r.occ != 0 {
-			filled = n.scanHeads(r)
-		}
-		for out := PortID(0); out < MaxPorts; out++ {
-			if filled&(1<<out) == 0 {
-				continue
-			}
-			start := len(arena)
-			arena = append(arena, n.outHeads[out]...)
-			reqs = append(reqs, Request{Out: out, Cands: arena[start:len(arena):len(arena)]})
-		}
-	} else {
-		arena, reqs = n.gatherRequestsLegacy(r, arena, reqs)
-	}
-	n.matchAndApply(mctx, r, reqs)
-}
-
-// gatherRequestsLegacy builds r's per-output requests with one gather per
-// output, parking candidates in arena. Appending to the arena must never
-// reallocate, or earlier requests' slices would go stale — overflow falls
-// back to a fresh slice instead.
-func (n *Network) gatherRequestsLegacy(r *Router, arena []Candidate, reqs []Request) ([]Candidate, []Request) {
-	for out := PortID(0); out < MaxPorts; out++ {
-		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
-			continue
-		}
-		cands := n.gatherCandidates(r, out)
-		if len(cands) == 0 {
-			continue
-		}
-		var own []Candidate
-		if len(arena)+len(cands) <= cap(arena) {
-			start := len(arena)
-			arena = append(arena, cands...)
-			own = arena[start:len(arena):len(arena)]
-		} else {
-			own = make([]Candidate, len(cands))
-			copy(own, cands)
-		}
-		reqs = append(reqs, Request{Out: out, Cands: own})
-	}
-	return arena, reqs
-}
-
 // matchAndApply runs the installed matcher over r's requests and applies the
 // grants, enforcing the one-grant-per-input-port invariant.
-func (n *Network) matchAndApply(mctx *MatchContext, r *Router, reqs []Request) {
+func (n *Network) matchAndApply(r *Router, reqs []Request) {
 	n.reqScratch = reqs[:0]
 	if len(reqs) == 0 {
 		return
 	}
+	mctx := &n.matchCtx
 	mctx.Router = r
 	grants := n.matcher.Match(mctx, reqs)
 	if len(grants) != len(reqs) {

@@ -580,3 +580,17 @@ func TestPerSourceFairnessStats(t *testing.T) {
 		t.Fatalf("fairness index %v", j)
 	}
 }
+
+// TestNewRejectsTooManyVCs pins the VC bound: the occupancy mask holds
+// MaxPorts*VCs bits in a uint64, so New accepts MaxVCs and panics past it.
+func TestNewRejectsTooManyVCs(t *testing.T) {
+	if got := New(Config{Width: 2, Height: 2, VCs: MaxVCs}).Config().VCs; got != MaxVCs {
+		t.Fatalf("VCs = %d, want %d", got, MaxVCs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted %d VCs", MaxVCs+1)
+		}
+	}()
+	New(Config{Width: 2, Height: 2, VCs: MaxVCs + 1})
+}

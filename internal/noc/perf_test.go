@@ -60,7 +60,7 @@ func BenchmarkHotNetworkStep(b *testing.B) {
 // benchLargeMesh measures steady-state stepping of one large mesh with the
 // given router-shard count, reporting delivered messages/sec/core — the
 // headline scaling metric. K>1 only pays off with spare cores; on a
-// single-CPU runner the two-phase barrier is pure overhead and the custom
+// single-CPU runner the fork/join barrier is pure overhead and the custom
 // metric records that honestly.
 // The rate must stay below the topology's saturation point (the mesh
 // bisection bound shrinks as 2/size for uniform traffic) or the injection
@@ -122,14 +122,12 @@ func TestSparseStepZeroAllocs(t *testing.T) {
 
 // benchLargeMeshSparse measures stepping at a sparse injection rate — the
 // active-set engine's target regime, where per-cycle cost should track the
-// in-flight population rather than the topology size. active=false forces the
-// full-scan baseline so the committed snapshot carries both sides of the
-// comparison. The mean active-router count is reported so the sparseness of
-// the regime is visible next to the ns/op.
-func benchLargeMeshSparse(b *testing.B, size, shards int, rate float64, active bool) {
+// in-flight population rather than the topology size. The mean active-router
+// count is reported so the sparseness of the regime is visible next to the
+// ns/op.
+func benchLargeMeshSparse(b *testing.B, size, shards int, rate float64) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
-	net.SetActiveStepping(active)
 	net.SetShards(shards)
 	defer net.SetShards(1)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
@@ -163,36 +161,23 @@ func benchLargeMeshSparse(b *testing.B, size, shards int, rate float64, active b
 	b.ReportMetric(float64(activeSum)/float64(b.N), "active-routers")
 }
 
-func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMeshSparse(b, 16, 1, 0.02, true) }
-func BenchmarkHotLargeMeshStepSparse16x16FullScan(b *testing.B) {
-	benchLargeMeshSparse(b, 16, 1, 0.02, false)
-}
-func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMeshSparse(b, 32, 1, 0.005, true) }
-func BenchmarkHotLargeMeshStepSparse32x32K4(b *testing.B) {
-	benchLargeMeshSparse(b, 32, 4, 0.005, true)
-}
-func BenchmarkHotLargeMeshStepSparse32x32FullScan(b *testing.B) {
-	benchLargeMeshSparse(b, 32, 1, 0.005, false)
-}
-func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B) {
-	benchLargeMeshSparse(b, 64, 1, 0.002, true)
-}
+func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B)   { benchLargeMeshSparse(b, 16, 1, 0.02) }
+func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B)   { benchLargeMeshSparse(b, 32, 1, 0.005) }
+func BenchmarkHotLargeMeshStepSparse32x32K4(b *testing.B) { benchLargeMeshSparse(b, 32, 4, 0.005) }
+func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B)   { benchLargeMeshSparse(b, 64, 1, 0.002) }
 
 // benchLargeMeshSparseFaulted is the degraded-mesh counterpart: two interior
 // links are dead for the whole run and the fault-aware table routing steers
-// around them. This is where the full-scan engine pays its worst O(topology)
-// tax — the per-cycle evictUnreachable sweep probes every router's buffers,
-// and the legacy gather re-routes every head once per candidate output —
-// while the active-set engine visits only occupied routers and its route-once
-// path spends exactly one Route call per buffered head per cycle.
-func benchLargeMeshSparseFaulted(b *testing.B, size, shards int, rate float64, active bool) {
+// around them. The engine visits only occupied routers, spends one Route call
+// per buffered head per cycle, and re-probes a router with no free output for
+// unreachable heads only after a head change.
+func benchLargeMeshSparseFaulted(b *testing.B, size, shards int, rate float64) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
 	mid := size / 2
 	net.SetLinkDown(net.RouterAt(mid, mid).ID(), noc.PortEast, true)
 	net.SetLinkDown(net.RouterAt(mid, mid+1).ID(), noc.PortSouth, true)
 	net.SetRouting(fault.NewTableRouting(net))
-	net.SetActiveStepping(active)
 	net.SetShards(shards)
 	defer net.SetShards(1)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
@@ -220,8 +205,5 @@ func benchLargeMeshSparseFaulted(b *testing.B, size, shards int, rate float64, a
 }
 
 func BenchmarkHotLargeMeshStepSparse32x32Faulted(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 1, 0.005, true)
-}
-func BenchmarkHotLargeMeshStepSparse32x32FaultedFullScan(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 1, 0.005, false)
+	benchLargeMeshSparseFaulted(b, 32, 1, 0.005)
 }

@@ -10,8 +10,7 @@ type Buffer struct {
 	cap      int
 
 	// owner/bit wire the buffer into its router's occupancy bitmask: bit
-	// port*VCs+vc of owner.occ is set iff the buffer is non-empty. owner is
-	// nil when occupancy tracking is disabled (ports*VCs > 64).
+	// port*VCs+vc of owner.occ is set iff the buffer is non-empty.
 	owner *Router
 	bit   uint8
 }
@@ -46,7 +45,7 @@ func (b *Buffer) push(now int64, m *Message) {
 	b.lastArr = now
 	m.ArrivalCycle = now
 	b.q = append(b.q, m)
-	if b.owner != nil && len(b.q) == 1 {
+	if len(b.q) == 1 {
 		r := b.owner
 		if r.occ == 0 {
 			r.net.activateRouter(r)
@@ -62,18 +61,16 @@ func (b *Buffer) pop() *Message {
 	copy(b.q, b.q[1:])
 	b.q[len(b.q)-1] = nil
 	b.q = b.q[:len(b.q)-1]
-	if b.owner != nil {
-		r := b.owner
-		if len(b.q) == 0 {
-			r.occ &^= 1 << b.bit
-			if r.occ == 0 {
-				r.net.deactivateRouter(r)
-			}
-		} else {
-			// The pop exposed the successor as the new head; its unreachable
-			// verdict is unknown.
-			r.net.markEvictDirty(r)
+	r := b.owner
+	if len(b.q) == 0 {
+		r.occ &^= 1 << b.bit
+		if r.occ == 0 {
+			r.net.deactivateRouter(r)
 		}
+	} else {
+		// The pop exposed the successor as the new head; its unreachable
+		// verdict is unknown.
+		r.net.markEvictDirty(r)
 	}
 	return m
 }
@@ -82,9 +79,6 @@ func (b *Buffer) pop() *Message {
 // that rewrites b.q wholesale (instead of going through push/pop) must call
 // it afterwards.
 func (b *Buffer) syncOcc() {
-	if b.owner == nil {
-		return
-	}
 	r := b.owner
 	was := r.occ
 	if len(b.q) == 0 {
@@ -135,9 +129,9 @@ type Router struct {
 	frozen bool
 
 	// occ is the input-buffer occupancy bitmask: bit p*VCs+vc is set iff
-	// in[p][vc] is non-empty. Maintained by Buffer push/pop when the network
-	// enables occupancy tracking; arbitration iterates set bits instead of
-	// scanning every (port, VC) pair.
+	// in[p][vc] is non-empty. Maintained by Buffer push/pop/syncOcc;
+	// arbitration iterates set bits instead of scanning every (port, VC)
+	// pair.
 	occ uint64
 
 	// actWord/actMask locate this router's bit in the network-level activity

@@ -13,17 +13,18 @@ const RouteUnreachable PortID = -1
 // destination node's attach port once m sits at its destination router, or
 // RouteUnreachable when no healthy path exists.
 //
-// Route is called from the arbitration hot path (several times per head
-// message per cycle) and must be deterministic and side-effect free per
-// cycle. Implementations that maintain tables (see internal/fault) rebuild
-// them from fault events, not inside Route.
-//
-// The active-set engine additionally leans on that determinism for routings
-// that declare themselves ShardSafe: because a head's verdict can only change
-// when the fault state changes or a different message reaches the head, the
-// unreachable-eviction sweep re-probes only routers flagged by such a
-// transition (see the evict-dirty tracking in activeset.go) instead of every
-// router every faulty cycle. Opaque routings keep the full per-cycle probe.
+// Route must be a pure verdict: its result depends only on the queried
+// router, the message and the network's fault state (topology, link health,
+// frozen routers, tables rebuilt from fault events), never on the cycle or on
+// how often it was called. It may write only to m, and those writes must be
+// idempotent (calling Route twice in a row leaves m as calling it once). The
+// engine relies on this in two ways: the arbitration scan routes each
+// buffered head once per cycle, possibly from a parallel shard (see
+// SetShards), and a router with no free output re-probes its heads for
+// unreachable verdicts only after a fault transition or a head change (see
+// the evict-dirty tracking in activeset.go). Implementations that maintain
+// tables (see internal/fault) rebuild them from fault events, not inside
+// Route.
 //
 // When no Routing is installed the engine uses built-in dimension-ordered
 // X-Y routing (XYRouting's behaviour) without an interface call.
@@ -44,7 +45,3 @@ func (XYRouting) Name() string { return "xy" }
 
 // Route implements Routing.
 func (XYRouting) Route(r *Router, m *Message) PortID { return r.XYPort(m) }
-
-// ShardSafe implements ShardSafeRouting: X-Y routing is a pure function of
-// (router, message destination) with no cross-router state.
-func (XYRouting) ShardSafe() bool { return true }

@@ -2,76 +2,53 @@ package noc
 
 import "math/bits"
 
-// Sharded two-phase stepping.
+// The arbitration engine.
 //
-// SetShards(K) with K > 1 splits the router array into K contiguous shards
-// and turns the arbitrate stage of Step into two phases:
+// Every cycle the arbitrate stage visits the active routers (actR, see
+// activeset.go) in ascending ID order and, for each non-frozen one, runs two
+// steps:
 //
-//   - Phase 1 (parallel): each shard scans its routers' occupancy bitmasks
-//     against the committed state of the cycle — one Route call per buffered
-//     head — and buckets the heads whose output port is grantable into a
-//     per-router plan. The scan is read-only outside shard-owned memory: it
-//     writes only the shard's own plans, the scanned routers' route-memo rows
-//     and the scanned messages' routing scratch, all of which are owned by
-//     the shard that owns the buffering router.
-//   - Phase 2 (serial): one goroutine walks the routers in the same fixed
-//     ascending order as the sequential engine and commits grants from the
-//     plans, re-checking the two facts phase 1 could not know: whether an
-//     earlier output of the same router already granted the input port this
-//     cycle, and whether the downstream buffer still has space (an earlier
-//     router's grant may have reserved the last slot — or freed one by
-//     popping its own head). Policy Select/Match calls, grant application,
-//     delivery scheduling and all stats run exclusively in this phase, in
-//     the exact sequential order.
+//   - Scan (scanRouter): route every buffered head once — one Route call per
+//     head — and bucket the heads whose output port is grantable this cycle
+//     into a per-router plan, in (input port, VC) ascending order. The scan
+//     reads only committed state and writes only the plan, the router's
+//     route-memo row and the scanned messages' routing scratch.
+//   - Commit (commitRouter): per planned output in ascending order, drop the
+//     heads whose input port an earlier output of the same router already
+//     granted this cycle or whose downstream buffer is full, then Select (or
+//     Match) and grant.
 //
-// Because deliveries land on future cycles and a grant pops only from the
-// granting router's own buffers, every router's buffer heads are invariant
-// across the whole arbitrate stage — so phase 1's head snapshot is exact,
-// and the only state that moves under phase 2's feet is what it re-checks
-// live. A seeded run is therefore bit-identical to the sequential engine for
-// any shard count (pinned by TestShardInvariance). See DESIGN.md §13.
+// Sequential stepping scans each router into one reused plan and commits it
+// at once. SetShards(K) with K > 1 splits the router array into K contiguous
+// shards and runs every scan first, in parallel, into per-router plans; one
+// goroutine then commits the plans in the same ascending order. Because
+// deliveries land on future cycles and a grant pops only from the granting
+// router's own buffers, every router's heads are invariant across the whole
+// arbitrate stage, so a scan is exact whenever it runs; the two facts that
+// do move under the commit (granted input ports, downstream space) are
+// re-checked live there. Policy calls, grants, delivery scheduling and all
+// stats run only in the commit, in the same order for every K, so a seeded
+// run is bit-identical across shard counts. See DESIGN.md §13.
 //
-// A router whose scan meets a RouteUnreachable head falls back wholesale:
-// phase 2 replays the sequential evict + arbitrate sequence for it, because
-// evicting a head exposes a successor the scan never saw.
+// A scan that meets a RouteUnreachable head stops and flags the plan: the
+// commit evicts the router's unreachable heads (evictUnreachable) and
+// re-scans it before granting, because eviction exposes successors the first
+// scan never routed.
 
-// ShardSafeRouting marks a Routing implementation as safe for the parallel
-// phase-1 scan: Route must depend only on the queried router, the message,
-// and state that does not change during arbitration (topology, link health,
-// routing tables rebuilt from fault events), and may write only to the
-// message itself. Routings that do not implement it — or return false — force
-// the network back to sequential stepping regardless of SetShards.
-type ShardSafeRouting interface {
-	Routing
-	ShardSafe() bool
-}
-
-// routerPlan is one router's phase-1 output: for each output port with at
-// least one grantable head, the candidate group in (input port, VC) ascending
-// order — the exact order the sequential gather produces.
+// routerPlan is one router's scan output: for each output port with at least
+// one grantable head, the candidate bucket in (input port, VC) ascending
+// order.
 type routerPlan struct {
-	cands    []Candidate     // per-output groups, packed ascending by output
-	off, cnt [MaxPorts]uint8 // group bounds: cands[off[out]:off[out]+cnt[out]]
-	filled   uint32          // bitmask of outputs with a non-empty group
-	fallback bool            // unreachable head seen; replay sequentially
+	heads  [MaxPorts][]Candidate
+	filled uint32 // bitmask of outputs with a non-empty bucket
+	evict  bool   // an unreachable head stopped the scan
 }
 
-// shardScratch is per-shard bucketing scratch for the phase-1 scan, mirroring
-// the sequential engine's Network.outHeads.
-type shardScratch struct {
-	outHeads [MaxPorts][]Candidate
-}
-
-// SetShards sets the number of router shards stepped in parallel during
-// arbitration. K <= 1 restores pure sequential stepping and stops the worker
+// SetShards sets the number of router shards scanned in parallel during
+// arbitration. K <= 1 restores sequential stepping and stops the worker
 // goroutines; K is clamped to the router count. Seeded runs are bit-identical
 // across every K. Call SetShards(1) when done with a network to release its
 // workers.
-//
-// Sharding engages only while the network is in a shardable configuration:
-// occupancy tracking on (MaxPorts*VCs <= 64) and either built-in X-Y routing
-// or an installed ShardSafeRouting. Otherwise Step silently runs the
-// sequential engine, so SetShards is always safe to call.
 func (n *Network) SetShards(k int) {
 	if k < 1 {
 		k = 1
@@ -94,7 +71,6 @@ func (n *Network) SetShards(k int) {
 	if len(n.plans) != len(n.routers) {
 		n.plans = make([]routerPlan, len(n.routers))
 	}
-	n.shardHeads = make([]shardScratch, k)
 	n.shardWake = make([]chan struct{}, k-1)
 	n.shardDone = make(chan struct{}, k-1)
 	for i := range n.shardWake {
@@ -118,8 +94,8 @@ func (n *Network) Shards() int {
 	return n.shards
 }
 
-// stopShardWorkers terminates the phase-1 worker goroutines. Only called
-// between cycles, so no wake is ever pending when the channels close.
+// stopShardWorkers terminates the scan worker goroutines. Only called between
+// cycles, so no wake is ever pending when the channels close.
 func (n *Network) stopShardWorkers() {
 	for _, wake := range n.shardWake {
 		close(wake)
@@ -128,133 +104,100 @@ func (n *Network) stopShardWorkers() {
 	n.shardDone = nil
 }
 
-// shardReady reports whether this cycle's arbitration may run the sharded
-// two-phase path, mirroring fusedScanOK's occupancy/route-memo requirements
-// and additionally requiring any installed Routing to declare itself
-// shard-safe.
-func (n *Network) shardReady() bool {
-	if !n.occTrack {
-		return false
+// arbitrate runs one cycle's arbitration over the active routers. A sharded
+// network forks its parallel scans only when at least shardMinActive routers
+// per shard are active; below that the barrier costs more than it saves and
+// the cycle steps sequentially (bit-identical either way).
+func (n *Network) arbitrate() {
+	if n.routing == nil {
+		n.ensureRouteMemo()
 	}
-	if n.routing != nil {
-		sr, ok := n.routing.(ShardSafeRouting)
-		return ok && sr.ShardSafe()
+	sharded := n.shards > 1 && n.actRCount >= n.shardMinActive*n.shards
+	if sharded {
+		n.shardForks++
+		for _, wake := range n.shardWake {
+			wake <- struct{}{}
+		}
+		n.scanShard(0)
+		for range n.shardWake {
+			<-n.shardDone
+		}
 	}
-	n.ensureRouteMemo()
-	return true
+	n.arbCtx = ArbContext{Net: n, Cycle: n.cycle}
+	n.matchCtx = MatchContext{Net: n, Cycle: n.cycle}
+	// Per-word snapshots of actR are safe: no activity bit is set during
+	// arbitration (deliveries land on future cycles, grants and evictions
+	// only pop), and a mid-word clear can only come from the router being
+	// committed.
+	for wi, word := range n.actR {
+		base := wi << 6
+		for ; word != 0; word &= word - 1 {
+			r := n.routers[base+bits.TrailingZeros64(word)]
+			if r.frozen {
+				continue
+			}
+			p := &n.plan
+			if sharded {
+				p = &n.plans[r.id]
+			} else {
+				n.scanRouter(r, p)
+			}
+			n.commitRouter(r, p)
+		}
+	}
 }
 
-// arbitrateSharded runs one two-phase arbitration: wake the workers, scan
-// shard 0 on this goroutine, barrier on the workers, then commit serially.
-func (n *Network) arbitrateSharded() {
-	n.shardForks++
-	for _, wake := range n.shardWake {
-		wake <- struct{}{}
-	}
-	n.scanShard(0)
-	for range n.shardWake {
-		<-n.shardDone
-	}
-	if n.matcher != nil {
-		n.commitPlansMatched()
-		return
-	}
-	n.commitPlans()
-}
-
-// scanShard builds the phase-1 plans for every router of one shard. It runs
-// concurrently with the other shards' scans and must only write shard-owned
-// state (see the file comment).
-//
-// In faulty mode every buffered head is routed even when no output is free,
-// matching the sequential engine's per-cycle evictUnreachable probe — that is
-// how unreachable heads are detected and how stateful routings see the same
-// per-head Route coverage.
+// scanShard scans every active, non-frozen router of one shard into its plan.
+// It runs concurrently with the other shards' scans and must only write
+// shard-owned state (see the file comment). Plans of skipped routers go
+// stale, which is fine: the commit walks the same activity snapshot, so a
+// plan is only read in the cycle that refreshed it.
 func (n *Network) scanShard(shard int) {
-	sc := &n.shardHeads[shard]
-	rt := n.routing
-	faulty := n.faulty
 	lo, hi := n.shardBounds[shard], n.shardBounds[shard+1]
-	if n.activeOK() {
-		// Scan only the active routers of [lo, hi) by masking the shard's
-		// boundary words of the activity bitmap. Phase 1 never mutates the
-		// bitmap (it pops nothing), so the words are stable under the
-		// concurrent shard scans. Plans of skipped routers go stale, which
-		// is fine: phase 2 iterates the same activity snapshot, so a plan is
-		// only read in the cycle that refreshed it.
-		loWord := lo >> 6
-		hiWord := (hi + 63) >> 6
-		for wi := loWord; wi < hiWord; wi++ {
-			word := n.actR[wi]
-			if wi == loWord {
-				word &^= (1 << (uint(lo) & 63)) - 1
-			}
-			if wi<<6+64 > hi {
-				word &= (1 << (uint(hi) & 63)) - 1
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				r := n.routers[id]
-				if faulty && r.frozen {
-					continue
-				}
-				n.scanRouter(sc, rt, faulty, true, r, &n.plans[id])
+	loWord, hiWord := lo>>6, (hi+63)>>6
+	for wi := loWord; wi < hiWord; wi++ {
+		word := n.actR[wi]
+		if wi == loWord {
+			word &^= (1 << (uint(lo) & 63)) - 1
+		}
+		if wi<<6+64 > hi {
+			word &= (1 << (uint(hi) & 63)) - 1
+		}
+		base := wi << 6
+		for ; word != 0; word &= word - 1 {
+			id := base + bits.TrailingZeros64(word)
+			if r := n.routers[id]; !r.frozen {
+				n.scanRouter(r, &n.plans[id])
 			}
 		}
-		return
-	}
-	for id := lo; id < hi; id++ {
-		r := n.routers[id]
-		p := &n.plans[id]
-		p.filled = 0
-		p.fallback = false
-		if (faulty && r.frozen) || r.occ == 0 {
-			continue
-		}
-		n.scanRouter(sc, rt, faulty, false, r, p)
 	}
 }
 
-// scanRouter builds one router's phase-1 plan: route every buffered head and
-// bucket the grantable ones per output. The caller guarantees r.occ != 0 and
-// !r.frozen.
-func (n *Network) scanRouter(sc *shardScratch, rt Routing, faulty, active bool, r *Router, p *routerPlan) {
+// scanRouter routes every buffered head of r once and buckets the heads whose
+// output is free this cycle into p. When no output is free the heads are
+// routed only to find unreachable verdicts, so the scan is skipped where
+// none can exist: built-in X-Y routing never returns one, and under an
+// installed Routing a clean evict-dirty bit proves every head reachable (see
+// the Routing contract).
+func (n *Network) scanRouter(r *Router, p *routerPlan) {
 	p.filled = 0
-	p.fallback = false
-	vcs := n.cfg.VCs
-	var freeOuts uint32
+	p.evict = false
+	var free uint32
 	for out := PortID(0); out < MaxPorts; out++ {
 		if r.HasPort(out) && !r.linkDown[out] && !r.OutputBusy(out, n.cycle) {
-			freeOuts |= 1 << out
+			free |= 1 << out
 		}
 	}
-	if freeOuts == 0 {
-		if !faulty {
-			return
-		}
-		// Faulty with no free output: heads are routed purely to detect
-		// unreachable verdicts (and to give stateful routings the same Route
-		// coverage as the sequential eviction probe). On the active-set path
-		// the eviction modes prove when that probe cannot find anything:
-		// built-in X-Y never returns unreachable, and under a shard-safe
-		// routing a clean evict-dirty bit means every head's verdict is
-		// already known reachable.
-		if active {
-			if n.evictMode == evictSkip {
-				return
-			}
-			if n.evictMode == evictLazy && n.evictDirty[r.actWord]&r.actMask == 0 {
-				return
-			}
-		}
+	rt := n.routing
+	if free == 0 && (rt == nil || n.evictDirty[r.actWord]&r.actMask == 0) {
+		return
 	}
-	var filled uint32
+	vcs := n.cfg.VCs
 	for mask := r.occ; mask != 0; mask &= mask - 1 {
 		bit := bits.TrailingZeros64(mask)
-		pp := PortID(bit / vcs)
-		vc := bit - int(pp)*vcs
-		m := r.in[pp][vc].q[0]
+		port := PortID(bit / vcs)
+		vc := bit - int(port)*vcs
+		m := r.in[port][vc].q[0]
 		var out PortID
 		if rt != nil {
 			out = rt.Route(r, m)
@@ -262,200 +205,75 @@ func (n *Network) scanRouter(sc *shardScratch, rt Routing, faulty, active bool, 
 			out = n.xyRouteMemo(r, m)
 		}
 		if out == RouteUnreachable {
-			// Evicting the head exposes a successor this scan never
-			// routed; replay the router sequentially in phase 2.
-			p.fallback = true
+			p.filled = 0
+			p.evict = true
 			return
 		}
-		if uint(out) >= MaxPorts || freeOuts&(1<<out) == 0 {
+		if uint(out) >= MaxPorts || free&(1<<out) == 0 {
 			continue
 		}
-		if filled&(1<<out) == 0 {
-			filled |= 1 << out
-			sc.outHeads[out] = sc.outHeads[out][:0]
+		if p.filled&(1<<out) == 0 {
+			p.filled |= 1 << out
+			p.heads[out] = p.heads[out][:0]
 		}
-		sc.outHeads[out] = append(sc.outHeads[out], Candidate{Port: pp, VC: vc, Msg: m})
-	}
-	if filled == 0 {
-		return
-	}
-	cands := p.cands[:0]
-	for out := PortID(0); out < MaxPorts; out++ {
-		if filled&(1<<out) == 0 {
-			continue
-		}
-		p.off[out] = uint8(len(cands))
-		p.cnt[out] = uint8(len(sc.outHeads[out]))
-		cands = append(cands, sc.outHeads[out]...)
-	}
-	p.cands = cands
-	p.filled = filled
-}
-
-// commitPlans is phase 2 for per-output selection policies: walk routers in
-// ascending order, filter each plan group by the two live facts (input port
-// already granted this cycle by an earlier output; downstream buffer full),
-// and select/grant exactly as the sequential engine does.
-func (n *Network) commitPlans() {
-	ctx := &n.arbCtx
-	*ctx = ArbContext{Net: n, Cycle: n.cycle}
-	if n.activeOK() {
-		// Walk the same activity snapshot phase 1 scanned (phase 1 pops
-		// nothing, so the bitmap is unchanged); within phase 2 only the
-		// router currently committing can clear its own bit, so per-word
-		// snapshots stay exact.
-		lazy := n.faulty && n.evictMode == evictLazy
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				r := n.routers[id]
-				if n.faulty && r.frozen {
-					continue
-				}
-				n.commitRouter(ctx, r, &n.plans[id], lazy)
-			}
-		}
-		return
-	}
-	for id, r := range n.routers {
-		if n.faulty && r.frozen {
-			continue
-		}
-		n.commitRouter(ctx, r, &n.plans[id], false)
+		p.heads[out] = append(p.heads[out], Candidate{Port: port, VC: vc, Msg: m})
 	}
 }
 
-// commitRouter applies one router's phase-1 plan: fallback routers replay the
-// sequential evict + arbitrate sequence; planned routers re-check the two
-// live facts (input port already granted, downstream space) per group and
-// select/grant exactly as the sequential engine does. With lazy set the
-// router's evict-dirty bit is cleared after its eviction coverage is current
-// (phase 1 routed every head or a fallback eviction just re-probed them) and
-// before any grant pops can re-mark it — the same evict, clear, grant order
-// the sequential maybeEvict path produces.
-func (n *Network) commitRouter(ctx *ArbContext, r *Router, p *routerPlan, lazy bool) {
-	if p.fallback {
+// commitRouter grants from r's plan. An evict-flagged plan first evicts r's
+// unreachable heads and re-scans. The evict-dirty bit is cleared once every
+// head's verdict is known — after the scan and any eviction, before grant
+// pops can expose new heads and re-mark it.
+func (n *Network) commitRouter(r *Router, p *routerPlan) {
+	if p.evict {
 		n.evictUnreachable(r)
-		if lazy {
-			n.evictDirty[r.actWord] &^= r.actMask
-		}
-		ctx.Router = r
-		n.arbitrateRouterLegacy(ctx, r)
-		return
+		n.scanRouter(r, p)
 	}
-	if lazy {
-		n.evictDirty[r.actWord] &^= r.actMask
-	}
+	n.evictDirty[r.actWord] &^= r.actMask
 	if p.filled == 0 {
 		return
 	}
+	if n.matcher != nil {
+		reqs := n.reqScratch[:0]
+		for out := PortID(0); out < MaxPorts; out++ {
+			if p.filled&(1<<out) == 0 {
+				continue
+			}
+			if cands := n.grantable(r, out, p.heads[out]); len(cands) > 0 {
+				reqs = append(reqs, Request{Out: out, Cands: cands[:len(cands):len(cands)]})
+			}
+		}
+		n.reqScratch = reqs
+		n.matchAndApply(r, reqs)
+		return
+	}
+	ctx := &n.arbCtx
 	ctx.Router = r
 	for out := PortID(0); out < MaxPorts; out++ {
 		if p.filled&(1<<out) == 0 {
 			continue
 		}
-		group := p.cands[p.off[out] : int(p.off[out])+int(p.cnt[out])]
-		var down []*Buffer
-		if next := r.peerRouter[out]; next != nil {
-			down = next.in[out.Opposite()]
+		if cands := n.grantable(r, out, p.heads[out]); len(cands) > 0 {
+			ctx.Out = out
+			n.selectAndGrant(ctx, r, out, cands)
 		}
-		cands := n.candScratch[:0]
-		for _, c := range group {
-			if r.inGrantedAt[c.Port] == n.cycle {
-				continue
-			}
-			if down != nil && !down[c.VC].Free() {
-				continue
-			}
-			cands = append(cands, c)
-		}
-		n.candScratch = cands
-		if len(cands) == 0 {
-			continue
-		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
 	}
 }
 
-// commitPlansMatched is phase 2 for whole-router matchers: build each
-// router's request list from its plan with the live downstream-space filter
-// (no granted-input filter is needed — grants apply only after Match) and run
-// the sequential match-and-apply tail.
-func (n *Network) commitPlansMatched() {
-	if cap(n.candArena) < MaxPorts*n.cfg.VCs {
-		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
+// grantable filters one planned bucket in place down to the heads that can
+// still be granted out: their input port has not forwarded this cycle and
+// their downstream buffer (for a hop) has space.
+func (n *Network) grantable(r *Router, out PortID, bucket []Candidate) []Candidate {
+	var down []*Buffer
+	if next := r.peerRouter[out]; next != nil {
+		down = next.in[out.Opposite()]
 	}
-	mctx := &n.matchCtx
-	*mctx = MatchContext{Net: n, Cycle: n.cycle}
-	if n.activeOK() {
-		// Same activity-snapshot walk as commitPlans.
-		lazy := n.faulty && n.evictMode == evictLazy
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				r := n.routers[id]
-				if n.faulty && r.frozen {
-					continue
-				}
-				n.commitRouterMatched(mctx, r, &n.plans[id], lazy)
-			}
-		}
-		return
-	}
-	for id, r := range n.routers {
-		if n.faulty && r.frozen {
+	cands := bucket[:0]
+	for _, c := range bucket {
+		if r.inGrantedAt[c.Port] == n.cycle || (down != nil && !down[c.VC].Free()) {
 			continue
 		}
-		n.commitRouterMatched(mctx, r, &n.plans[id], false)
+		cands = append(cands, c)
 	}
-}
-
-// commitRouterMatched is commitRouter's counterpart for whole-router matchers;
-// see commitRouter for the lazy dirty-clear ordering.
-func (n *Network) commitRouterMatched(mctx *MatchContext, r *Router, p *routerPlan, lazy bool) {
-	if p.fallback {
-		n.evictUnreachable(r)
-		if lazy {
-			n.evictDirty[r.actWord] &^= r.actMask
-		}
-		_, reqs := n.gatherRequestsLegacy(r, n.candArena[:0], n.reqScratch[:0])
-		n.matchAndApply(mctx, r, reqs)
-		return
-	}
-	if lazy {
-		n.evictDirty[r.actWord] &^= r.actMask
-	}
-	arena := n.candArena[:0]
-	reqs := n.reqScratch[:0]
-	for out := PortID(0); p.filled != 0 && out < MaxPorts; out++ {
-		if p.filled&(1<<out) == 0 {
-			continue
-		}
-		group := p.cands[p.off[out] : int(p.off[out])+int(p.cnt[out])]
-		var down []*Buffer
-		if next := r.peerRouter[out]; next != nil {
-			down = next.in[out.Opposite()]
-		}
-		start := len(arena)
-		for _, c := range group {
-			if down != nil && !down[c.VC].Free() {
-				continue
-			}
-			arena = append(arena, c)
-		}
-		if len(arena) == start {
-			continue
-		}
-		reqs = append(reqs, Request{Out: out, Cands: arena[start:len(arena):len(arena)]})
-	}
-	n.matchAndApply(mctx, r, reqs)
+	return cands
 }

@@ -7,15 +7,13 @@ import (
 	"testing"
 )
 
-// cutRouting is a shard-safe X-Y routing that declares a fixed destination
-// set unreachable, exercising the sharded engine's fallback-and-evict path
-// against the sequential one.
+// cutRouting is an X-Y routing that declares a fixed destination set
+// unreachable, exercising the engine's evict-and-rescan path.
 type cutRouting struct {
 	cut map[NodeID]bool
 }
 
-func (cutRouting) Name() string    { return "cut-xy" }
-func (cutRouting) ShardSafe() bool { return true }
+func (cutRouting) Name() string { return "cut-xy" }
 func (c cutRouting) Route(r *Router, m *Message) PortID {
 	if c.cut[m.Dst] {
 		return RouteUnreachable
@@ -23,32 +21,68 @@ func (c cutRouting) Route(r *Router, m *Message) PortID {
 	return r.XYPort(m)
 }
 
-// shardRun drives a seeded workload on a fresh network and returns the
-// delivery log. faults, when non-nil, runs before every Step with the cycle
-// number so fault schedules stay aligned across shard counts. The activity
-// threshold is zeroed so sharded runs exercise the fork/join every cycle
-// regardless of load; opts run after that for per-test engine configuration
-// (e.g. SetActiveStepping(false) baselines).
+// refEngine and toggleEngine, passed to shardRun as the shard count, step the
+// run with the reference engine refStep, or with refStep and Step alternating
+// every 150 cycles, instead of with Step alone.
+const (
+	refEngine    = 0
+	toggleEngine = -1
+)
+
+// workload is one seeded engine run: a fresh BuildMeshCores network stepped
+// for cycles cycles under per-node Bernoulli injection at rate, then drained
+// for at most drain cycles.
+type workload struct {
+	cfg     Config
+	policy  Policy
+	routing Routing
+	shards  int // refEngine and toggleEngine select the reference stepping
+	cycles  int
+	rate    float64
+	seed    int64
+	drain   int64
+	// faults, when non-nil, runs before every step with the cycle number so
+	// fault schedules stay aligned across engines.
+	faults func(net *Network, cycle int)
+}
+
+// shardRun runs the shared invariance workload (rate 0.3, seed 21) with
+// shards as the engine selector. opts run after set-up for per-test engine
+// configuration.
 func shardRun(t *testing.T, policy Policy, cfg Config, shards, cycles int,
 	routing Routing, faults func(net *Network, cycle int),
 	opts ...func(net *Network)) (*Network, []string) {
 	t.Helper()
-	net, nodes := BuildMeshCores(cfg)
-	net.SetPolicy(policy)
-	if routing != nil {
-		net.SetRouting(routing)
+	return runWorkload(t, workload{cfg: cfg, policy: policy, routing: routing, shards: shards,
+		cycles: cycles, rate: 0.3, seed: 21, drain: 8000, faults: faults}, opts...)
+}
+
+// runWorkload drives w and returns the network and its event log. The
+// activity threshold is zeroed so sharded runs exercise the fork/join every
+// cycle regardless of load; opts run after that.
+func runWorkload(t *testing.T, w workload, opts ...func(net *Network)) (*Network, []string) {
+	t.Helper()
+	net, nodes := BuildMeshCores(w.cfg)
+	net.SetPolicy(w.policy)
+	if w.routing != nil {
+		net.SetRouting(w.routing)
 	}
-	net.SetShards(shards)
-	net.SetShardMinActive(0)
+	useRef := func(cycle int) bool { return w.shards == refEngine }
+	switch w.shards {
+	case refEngine:
+	case toggleEngine:
+		useRef = func(cycle int) bool { return cycle/150%2 == 1 }
+	default:
+		net.SetShards(w.shards)
+		defer net.SetShards(1)
+	}
+	net.shardMinActive = 0
 	for _, opt := range opts {
 		opt(net)
 	}
-	if shards > 1 {
-		if got := net.Shards(); got != shards {
-			t.Fatalf("Shards() = %d after SetShards(%d)", got, shards)
-		}
-		if !net.shardReady() {
-			t.Fatalf("network not shard-ready with routing %v", routing)
+	if w.shards > 1 {
+		if got := net.Shards(); got != w.shards {
+			t.Fatalf("Shards() = %d after SetShards(%d)", got, w.shards)
 		}
 	}
 	var log []string
@@ -57,14 +91,19 @@ func shardRun(t *testing.T, policy Policy, cfg Config, shards, cycles int,
 			log = append(log, fmt.Sprintf("%d:%d->%d@%d", m.ID, m.Src, m.Dst, now))
 		}
 	}
-	rng := rand.New(rand.NewSource(21))
+	// Unreachable evictions join the log, so their cycle and router are
+	// compared too, not just their count.
+	net.SetUnreachableHandler(func(now int64, r *Router, m *Message) {
+		log = append(log, fmt.Sprintf("%d:evicted@%d:%d", m.ID, r.id, now))
+	})
+	rng := rand.New(rand.NewSource(w.seed))
 	var id uint64
-	for cycle := 0; cycle < cycles; cycle++ {
-		if faults != nil {
-			faults(net, cycle)
+	for cycle := 0; cycle < w.cycles; cycle++ {
+		if w.faults != nil {
+			w.faults(net, cycle)
 		}
 		for i, nd := range nodes {
-			if rng.Float64() >= 0.3 {
+			if rng.Float64() >= w.rate {
 				continue
 			}
 			d := rng.Intn(len(nodes) - 1)
@@ -75,50 +114,43 @@ func shardRun(t *testing.T, policy Policy, cfg Config, shards, cycles int,
 			m := net.AllocMessage()
 			m.ID = id
 			m.Dst = nodes[d].ID
-			m.Class = Class(rng.Intn(cfg.VCs))
+			m.Class = Class(rng.Intn(w.cfg.VCs))
 			m.SizeFlits = 1 + 4*rng.Intn(2)
 			nd.Inject(m)
 		}
-		net.Step()
+		if useRef(cycle) {
+			refStep(net)
+		} else {
+			net.Step()
+		}
 	}
-	net.Drain(8000)
-	if shards > 1 && net.shardMinActive == 0 && net.shardForks == 0 {
-		t.Fatalf("sharded run with K=%d never forked its phase-1 workers", shards)
+	if w.shards == refEngine {
+		refDrain(net, w.drain)
+	} else {
+		net.Drain(w.drain)
 	}
-	net.SetShards(1)
+	if w.shards > 1 && net.shardMinActive == 0 && net.shardForks == 0 {
+		t.Fatalf("sharded run with K=%d never forked its scan workers", w.shards)
+	}
 	return net, log
 }
 
-// requireIdentical fails unless the sharded run's delivery trace and stats are
-// bit-identical to the sequential baseline's.
+// requireIdentical fails unless a run's delivery trace and stats are
+// bit-identical to the reference run's.
 func requireIdentical(t *testing.T, k int, base *Network, baseLog []string, got *Network, gotLog []string) {
 	t.Helper()
 	if len(baseLog) == 0 {
 		t.Fatal("no deliveries recorded; workload is vacuous")
 	}
-	if len(gotLog) != len(baseLog) {
-		t.Fatalf("K=%d delivery counts diverge: sharded %d, sequential %d", k, len(gotLog), len(baseLog))
-	}
-	for i := range baseLog {
-		if gotLog[i] != baseLog[i] {
-			t.Fatalf("K=%d delivery %d diverges: sharded %q, sequential %q", k, i, gotLog[i], baseLog[i])
-		}
-	}
-	bs, gs := base.Stats(), got.Stats()
-	if bs.Injected != gs.Injected || bs.Delivered != gs.Delivered ||
-		bs.Latency.Mean() != gs.Latency.Mean() || bs.NetLatency.Mean() != gs.NetLatency.Mean() {
-		t.Fatalf("K=%d stats diverge: sharded inj=%d del=%d avg=%v, sequential inj=%d del=%d avg=%v",
-			k, gs.Injected, gs.Delivered, gs.Latency.Mean(), bs.Injected, bs.Delivered, bs.Latency.Mean())
-	}
-	if base.FaultStats() != got.FaultStats() {
-		t.Fatalf("K=%d fault stats diverge: sharded %+v, sequential %+v", k, got.FaultStats(), base.FaultStats())
+	if d := diffEngines(base, baseLog, got, gotLog); d != "" {
+		t.Fatalf("K=%d: %s", k, d)
 	}
 }
 
-// TestShardInvariance pins the tentpole contract: for every shard count the
-// two-phase engine produces a delivery trace bit-identical to the sequential
-// engine, on mesh and torus, for an order-sensitive per-output policy and an
-// order-sensitive whole-router matcher.
+// TestShardInvariance pins the engine contract: for every shard count Step
+// produces a delivery trace bit-identical to the reference engine, on mesh
+// and torus, for an order-sensitive per-output policy and an order-sensitive
+// whole-router matcher.
 func TestShardInvariance(t *testing.T) {
 	cfgs := map[string]Config{
 		"mesh8x8":   {Width: 8, Height: 8, VCs: 3, BufferCap: 2},
@@ -133,8 +165,8 @@ func TestShardInvariance(t *testing.T) {
 				if cfg.Width == 16 {
 					cycles = 300
 				}
-				base, baseLog := shardRun(t, pol, cfg, 1, cycles, nil, nil)
-				for _, k := range []int{2, 4, 8} {
+				base, baseLog := shardRun(t, pol, cfg, refEngine, cycles, nil, nil)
+				for _, k := range []int{1, 2, 4, 8} {
 					net, log := shardRun(t, pol, cfg, k, cycles, nil, nil)
 					requireIdentical(t, k, base, baseLog, net, log)
 				}
@@ -145,8 +177,8 @@ func TestShardInvariance(t *testing.T) {
 
 // TestShardInvarianceFaulted runs a mid-run fault schedule — a bidirectional
 // link kill plus a router freeze, later repaired — under built-in X-Y routing,
-// checking that the faulty-mode scan rules (frozen-router skip, full head scan
-// while any output is blocked) keep every shard count bit-identical.
+// checking that the faulty-mode scan rules (frozen-router skip, dead outputs)
+// keep every shard count bit-identical to the reference.
 func TestShardInvarianceFaulted(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	faults := func(net *Network, cycle int) {
@@ -163,11 +195,11 @@ func TestShardInvarianceFaulted(t *testing.T) {
 	}
 	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
 		t.Run(pname, func(t *testing.T) {
-			base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, faults)
+			base, baseLog := shardRun(t, pol, cfg, refEngine, 600, nil, faults)
 			if base.FaultStats().Requeued == 0 {
 				t.Fatal("fault schedule requeued nothing; scenario is vacuous")
 			}
-			for _, k := range []int{2, 4, 8} {
+			for _, k := range []int{1, 2, 4, 8} {
 				net, log := shardRun(t, pol, cfg, k, 600, nil, faults)
 				requireIdentical(t, k, base, baseLog, net, log)
 			}
@@ -175,18 +207,18 @@ func TestShardInvarianceFaulted(t *testing.T) {
 	}
 }
 
-// TestShardInvarianceUnreachable drives traffic at destinations a shard-safe
-// routing declares unreachable, forcing the phase-1 fallback flag and the
-// sequential evict-and-replay path, and checks trace identity plus the
-// conservation identity Injected == Delivered + Unreachable + InFlight.
+// TestShardInvarianceUnreachable drives traffic at destinations a routing
+// declares unreachable, forcing the scan's evict flag and the evict-and-rescan
+// path, and checks trace identity plus the conservation identity
+// Injected == Delivered + Unreachable + InFlight.
 func TestShardInvarianceUnreachable(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	routing := func() Routing { return cutRouting{cut: map[NodeID]bool{10: true, 37: true}} }
-	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, routing(), nil)
+	base, baseLog := shardRun(t, orderPolicy{}, cfg, refEngine, 600, routing(), nil)
 	if base.FaultStats().Unreachable == 0 {
-		t.Fatal("no unreachable evictions; fallback path not exercised")
+		t.Fatal("no unreachable evictions; evict path not exercised")
 	}
-	for _, k := range []int{2, 4, 8} {
+	for _, k := range []int{1, 2, 4, 8} {
 		net, log := shardRun(t, orderPolicy{}, cfg, k, 600, routing(), nil)
 		requireIdentical(t, k, base, baseLog, net, log)
 		fs := net.FaultStats()
